@@ -228,16 +228,6 @@ def cmd_enumerate(args, out) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-_SUITE_DEFAULTS = {
-    # suite: (n_max, k_max)
-    "thm-1-2": (22, 3),
-    "thm-1-1": (18, 2),
-    "thm-1-5": (30, 3),
-    "psi": (50, None),
-    "bijections": (20, None),
-}
-
-
 def _first_census_mismatch(series_terms, census) -> str | None:
     if series_terms == census:
         return None
@@ -330,29 +320,27 @@ def _cells_bijections(n_max: int):
         yield {"bijection": "self-conjugate", "n": n}, bad
 
 
+# suite: (cell generator, default n_max, default k_max), in `--suite all` order
+_SUITES = {
+    "thm-1-2": (_cells_thm12, 22, 3),
+    "thm-1-1": (_cells_thm11, 18, 2),
+    "thm-1-5": (_cells_thm15, 30, 3),
+    "psi": (lambda n_max, k_max: _cells_psi(n_max), 50, None),
+    "bijections": (lambda n_max, k_max: _cells_bijections(n_max), 20, None),
+}
+
+
 def _suite_cells(suite: str, n_max: int, k_max: int | None):
-    if suite == "thm-1-2":
-        yield from (({"suite": suite, **cell}, d) for cell, d in _cells_thm12(n_max, k_max))
-    elif suite == "thm-1-1":
-        yield from (({"suite": suite, **cell}, d) for cell, d in _cells_thm11(n_max, k_max))
-    elif suite == "thm-1-5":
-        yield from (({"suite": suite, **cell}, d) for cell, d in _cells_thm15(n_max, k_max))
-    elif suite == "psi":
-        yield from (({"suite": suite, **cell}, d) for cell, d in _cells_psi(n_max))
-    elif suite == "bijections":
-        yield from (({"suite": suite, **cell}, d) for cell, d in _cells_bijections(n_max))
-    else:
-        raise UsageError(f"unknown suite {suite!r}")
+    cells = _SUITES[suite][0]
+    for cell, detail in cells(n_max, k_max):
+        yield {"suite": suite, **cell}, detail
 
 
 def cmd_verify(args, out) -> int:
-    if args.suite == "all":
-        suites = ["thm-1-2", "thm-1-1", "thm-1-5", "psi", "bijections"]
-    else:
-        suites = [args.suite]
+    suites = list(_SUITES) if args.suite == "all" else [args.suite]
     plan = []
     for suite in suites:
-        default_n, default_k = _SUITE_DEFAULTS[suite]
+        _, default_n, default_k = _SUITES[suite]
         n_max = args.n_max if args.n_max is not None else default_n
         k_max = args.k_max if args.k_max is not None else default_k
         if n_max < 0:
@@ -550,8 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run identity verification suites")
     p.add_argument("--suite", required=True,
-                   choices=["thm-1-2", "thm-1-1", "thm-1-5", "psi", "bijections",
-                            "all"])
+                   choices=[*_SUITES, "all"])
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")

@@ -412,13 +412,14 @@ def _marked_unimodal_violation(top, bottom, peak: int, k: int) -> str | None:
         hi = largest[j] if j < k else peak - 1
         if not lo <= part.value <= hi:
             return f"bottom part {part} outside [{lo}, {hi}]"
-    # the ordering rules force the same intervals on the top row
-    if __debug__:
-        for part in top:
-            j = part.mark
-            lo = largest[j - 1] + 1
-            hi = largest[j] if j < k else peak - 1
-            assert lo <= part.value <= hi, f"top part {part} escaped [{lo}, {hi}]"
+    # the ordering rules force the same intervals on the top row; a part
+    # outside them means those rules are broken, not that the symbol is
+    for part in top:
+        j = part.mark
+        lo = largest[j - 1] + 1
+        hi = largest[j] if j < k else peak - 1
+        if not lo <= part.value <= hi:
+            raise RuntimeError(f"top part {part} escaped [{lo}, {hi}]")
     return None
 
 

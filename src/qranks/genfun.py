@@ -3,8 +3,15 @@
 Each builder sums a multi-indexed family of Pochhammer-product terms.  The
 index region is cut off by the term's minimal q-order (the explicit q-power
 in front; every other factor has constant term 1), so terms outside the
-region vanish modulo q^(N+1) and the truncated result is exact.  Builders
-are deterministic and pure.
+region vanish modulo q^(N+1) and the truncated result is exact.  Every
+multi-sum indexes its terms by the prefix sums M_1..M_k and takes them
+from one enumerator, :func:`_index_tuples`, given that order function.
+The two self-conjugate forms share the enumerator and the series ring, so
+they are not independent of each other; both are checked against
+:func:`qranks.combinat.count_self_conjugate`, which shares no code with
+this module.  Builders are deterministic and pure, and each one checks
+explicitly (also under ``python -O``) that no rank exponent exceeds the
+size it appears at.
 
 Coefficients of the multivariate series are Laurent polynomials in
 x_1..x_k; the integer attached to x^(m_1,..,m_k) q^n counts symbols of size
@@ -19,13 +26,46 @@ from . import combinat
 from .series import FactorSpec, TruncatedSeries, pochhammer
 
 
-def _exponents_within_order(s: TruncatedSeries) -> bool:
-    """No rank exponent can exceed the size it appears at."""
+def _checked(s: TruncatedSeries) -> TruncatedSeries:
+    """Return ``s`` after checking that no rank exponent exceeds the size it
+    appears at; a violation means a builder is wrong, not its input."""
     for n, c in enumerate(s.coeffs):
         for exps in c.terms:
             if any(abs(e) > n for e in exps):
-                return False
-    return True
+                raise ArithmeticError(f"rank exponent beyond size: n={n}, exponents={exps}")
+    return s
+
+
+def _index_tuples(k: int, n_max: int, order, step: int):
+    """Yield every (M_1, ..., M_k) with M_1 >= 1, M_j - M_(j-1) >= step and
+    order(M) <= n_max, in lexicographic order.
+
+    ``order`` must be nondecreasing and unbounded in every M_j.  Then the
+    cheapest completion of a prefix takes each later M_j = M_(j-1) + step,
+    and once it is over budget so is every larger value at that position.
+    """
+    def rec(prefix: tuple[int, ...]):
+        if len(prefix) == k:
+            yield prefix
+            return
+        value = prefix[-1] + step if prefix else 1
+        while True:
+            head = prefix + (value,)
+            tail = tuple(value + step * t for t in range(1, k - len(head) + 1))
+            if order(head + tail) > n_max:
+                return
+            yield from rec(head)
+            value += 1
+
+    yield from rec(())
+
+
+def _durfee_order(big: tuple[int, ...]) -> int:
+    return big[-1] ** 2 + sum(big[:-1])
+
+
+def _self_conjugate_order(big: tuple[int, ...]) -> int:
+    return 2 * sum(big[:-1]) + big[-1]
 
 
 def partition_series(n_max: int) -> TruncatedSeries:
@@ -47,37 +87,7 @@ def partition_rank_series(n_max: int) -> TruncatedSeries:
             term = term * pochhammer(FactorSpec(1, 1, -1, 1, 1), t, n_max, 1).inverse()
         total = total + term
         t += 1
-    assert _exponents_within_order(total)
-    return total
-
-
-def _durfee_gap_tuples(k: int, n_max: int):
-    """Tuples (m_1..m_k) with m_1 >= 1, m_j >= 0 for j >= 2, whose prefix
-    sums M_j satisfy M_k^2 + M_1 + ... + M_(k-1) <= n_max."""
-    tuples = []
-
-    def rec(prefix: list[int]):
-        j = len(prefix)
-        if j == k:
-            big = [sum(prefix[: i + 1]) for i in range(k)]
-            if big[-1] ** 2 + sum(big[:-1]) <= n_max:
-                tuples.append(tuple(prefix))
-            return
-        lo = 1 if j == 0 else 0
-        m = lo
-        while True:
-            big_j = sum(prefix) + m
-            # remaining gaps may be zero, so the cheapest completion keeps
-            # M_i = big_j for all later i
-            cheapest = big_j ** 2 + sum(sum(prefix[: i + 1]) for i in range(j)) + \
-                (k - 1 - j) * big_j
-            if cheapest > n_max:
-                break
-            rec(prefix + [m])
-            m += 1
-
-    rec([])
-    return tuples
+    return _checked(total)
 
 
 def marked_durfee_rank_series(k: int, n_max: int) -> TruncatedSeries:
@@ -98,23 +108,19 @@ def marked_durfee_rank_series(k: int, n_max: int) -> TruncatedSeries:
     if k == 1:
         return partition_rank_series(n_max)
     total = TruncatedSeries.zero(n_max, k)
-    for gaps in _durfee_gap_tuples(k, n_max):
-        big = [sum(gaps[: i + 1]) for i in range(k)]
-        order = big[-1] ** 2 + sum(big[:-1])
-        assert order <= n_max
-        term = TruncatedSeries.monomial(1, (0,) * k, order, n_max)
-        term = term * pochhammer(FactorSpec(1, 1, 1, 1, 1), gaps[0], n_max, k).inverse()
-        term = term * pochhammer(FactorSpec(1, 1, -1, 1, 1), gaps[0], n_max, k).inverse()
+    for big in _index_tuples(k, n_max, _durfee_order, 0):
+        term = TruncatedSeries.monomial(1, (0,) * k, _durfee_order(big), n_max)
+        term = term * pochhammer(FactorSpec(1, 1, 1, 1, 1), big[0], n_max, k).inverse()
+        term = term * pochhammer(FactorSpec(1, 1, -1, 1, 1), big[0], n_max, k).inverse()
         for j in range(2, k + 1):
             offset = big[j - 2]
-            length = gaps[j - 1] + 1
+            length = big[j - 1] - offset + 1
             term = term * pochhammer(
                 FactorSpec(1, j, 1, offset, 1), length, n_max, k).inverse()
             term = term * pochhammer(
                 FactorSpec(1, j, -1, offset, 1), length, n_max, k).inverse()
         total = total + term
-    assert _exponents_within_order(total)
-    return total
+    return _checked(total)
 
 
 def unimodal_rank_series(n_max: int) -> TruncatedSeries:
@@ -126,33 +132,7 @@ def unimodal_rank_series(n_max: int) -> TruncatedSeries:
         term = term * pochhammer(FactorSpec(-1, 1, 1, 1, 1), t, n_max, 1)
         term = term * pochhammer(FactorSpec(-1, 1, -1, 1, 1), t, n_max, 1)
         total = total + term
-    assert _exponents_within_order(total)
-    return total
-
-
-def _unimodal_gap_tuples(k: int, n_max: int):
-    """Tuples (m_1..m_k), all >= 1, whose prefix sums satisfy
-    M_1 + ... + M_k <= n_max."""
-    tuples = []
-
-    def rec(prefix: list[int], big_sum: int):
-        j = len(prefix)
-        if j == k:
-            tuples.append(tuple(prefix))
-            return
-        prev = sum(prefix)
-        rem_after = k - j - 1
-        m = 1
-        while True:
-            new_big = prev + m
-            tail_min = sum(new_big + t for t in range(1, rem_after + 1))
-            if big_sum + new_big + tail_min > n_max:
-                break
-            rec(prefix + [m], big_sum + new_big)
-            m += 1
-
-    rec([], 0)
-    return tuples
+    return _checked(total)
 
 
 def marked_unimodal_rank_series(k: int, n_max: int) -> TruncatedSeries:
@@ -171,25 +151,19 @@ def marked_unimodal_rank_series(k: int, n_max: int) -> TruncatedSeries:
     if k < 1:
         raise ValueError("k must be >= 1")
     total = TruncatedSeries.zero(n_max, k)
-    for gaps in _unimodal_gap_tuples(k, n_max):
-        big = [sum(gaps[: i + 1]) for i in range(k)]
-        order = sum(big)
-        assert order <= n_max
-        term = TruncatedSeries.monomial(1, (0,) * k, order, n_max)
+    for big in _index_tuples(k, n_max, sum, 1):
+        term = TruncatedSeries.monomial(1, (0,) * k, sum(big), n_max)
         for j in range(1, k):
             exps = tuple(-1 if i == j - 1 else 0 for i in range(k))
-            bump = TruncatedSeries.one(n_max, k)
-            if big[j - 1] <= n_max:
-                bump = bump + TruncatedSeries.monomial(1, exps, big[j - 1], n_max)
+            bump = TruncatedSeries.one(n_max, k) + TruncatedSeries.monomial(
+                1, exps, big[j - 1], n_max)
             term = term * bump
-        for j in range(1, k + 1):
-            offset = (big[j - 2] if j >= 2 else 0) + 1
-            length = gaps[j - 1] - 1
-            term = term * pochhammer(FactorSpec(-1, j, 1, offset, 1), length, n_max, k)
-            term = term * pochhammer(FactorSpec(-1, j, -1, offset, 1), length, n_max, k)
+        for j, (lower, upper) in enumerate(zip((0,) + big, big), 1):
+            length = upper - lower - 1
+            term = term * pochhammer(FactorSpec(-1, j, 1, lower + 1, 1), length, n_max, k)
+            term = term * pochhammer(FactorSpec(-1, j, -1, lower + 1, 1), length, n_max, k)
         total = total + term
-    assert _exponents_within_order(total)
-    return total
+    return _checked(total)
 
 
 def self_conjugate_series(k: int, n_max: int, form: str = "raw") -> TruncatedSeries:
@@ -217,85 +191,29 @@ def self_conjugate_series(k: int, n_max: int, form: str = "raw") -> TruncatedSer
         raise ValueError(f"unknown form {form!r}")
     total = TruncatedSeries.zero(n_max, 0)
     if form == "raw":
-        for gaps in _self_conjugate_gap_tuples(k, n_max):
-            big = [sum(gaps[: i + 1]) for i in range(k)]
-            order = 2 * sum(big[:-1]) + big[-1]
-            assert order <= n_max
-            term = TruncatedSeries.monomial(1, (), order, n_max)
-            for j in range(1, k + 1):
-                offset = 2 * ((big[j - 2] if j >= 2 else 0) + 1)
+        for big in _index_tuples(k, n_max, _self_conjugate_order, 1):
+            term = TruncatedSeries.monomial(1, (), _self_conjugate_order(big), n_max)
+            for lower, upper in zip((0,) + big, big):
                 term = term * pochhammer(
-                    FactorSpec(-1, None, 1, offset, 2), gaps[j - 1] - 1, n_max, 0)
+                    FactorSpec(-1, None, 1, 2 * (lower + 1), 2), upper - lower - 1, n_max, 0)
             total = total + term
-        assert _exponents_within_order(total)
-        return total
+        return _checked(total)
 
-    for peak in range(k, n_max + 1):
+    # the same index region, with the inner products summed per peak M_k
+    inner_totals: dict[int, TruncatedSeries] = {}
+    for *lower, peak in _index_tuples(k, n_max, _self_conjugate_order, 1):
+        inner = TruncatedSeries.one(n_max, 0)
+        for b in lower:
+            numer = TruncatedSeries.monomial(1, (), 2 * b, n_max)
+            denom = TruncatedSeries.one(n_max, 0) + TruncatedSeries.monomial(
+                1, (), 2 * b, n_max)
+            inner = inner * numer * denom.inverse()
+        inner_totals[peak] = inner_totals[peak] + inner if peak in inner_totals else inner
+    for peak, inner_total in inner_totals.items():
         outer = TruncatedSeries.monomial(1, (), peak, n_max)
         outer = outer * pochhammer(FactorSpec(-1, None, 1, 2, 2), peak - 1, n_max, 0)
-        inner_total = TruncatedSeries.zero(n_max, 0)
-        found = False
-        for bigs in _ascending_tuples(k - 1, peak, n_max - peak):
-            inner = TruncatedSeries.one(n_max, 0)
-            for b in bigs:
-                numer = TruncatedSeries.monomial(1, (), 2 * b, n_max)
-                denom = TruncatedSeries.one(n_max, 0) + TruncatedSeries.monomial(
-                    1, (), 2 * b, n_max)
-                inner = inner * numer * denom.inverse()
-            inner_total = inner_total + inner
-            found = True
-        if found:
-            total = total + outer * inner_total
-    assert _exponents_within_order(total)
-    return total
-
-
-def _self_conjugate_gap_tuples(k: int, n_max: int):
-    """Tuples (m_1..m_k), all >= 1, with 2(M_1+...+M_(k-1)) + M_k <= n_max."""
-    tuples = []
-
-    def rec(prefix: list[int], weighted: int):
-        j = len(prefix)
-        if j == k:
-            tuples.append(tuple(prefix))
-            return
-        prev = sum(prefix)
-        m = 1
-        while True:
-            new_big = prev + m
-            weight = 2 if j < k - 1 else 1
-            rem = k - j - 1
-            # minimal completion: gaps of 1, doubled except the last
-            tail = sum((2 if j + 1 + t < k else 1) * (new_big + t)
-                       for t in range(1, rem + 1))
-            if weighted + weight * new_big + tail > n_max:
-                break
-            rec(prefix + [m], weighted + weight * new_big)
-            m += 1
-
-    rec([], 0)
-    return tuples
-
-
-def _ascending_tuples(count: int, below: int, budget: int):
-    """Strictly increasing tuples (M_1 < ... < M_count) with every entry in
-    [1, below-1] and 2 * sum <= budget."""
-    if count == 0:
-        yield ()
-        return
-
-    def rec(start: int, left: int, remaining: int):
-        if left == 0:
-            yield ()
-            return
-        for v in range(start, below):
-            min_rest = sum(v + 1 + t for t in range(left - 1))
-            if 2 * (v + min_rest) > remaining:
-                break
-            for rest in rec(v + 1, left - 1, remaining - 2 * v):
-                yield (v,) + rest
-
-    yield from rec(1, count, budget)
+        total = total + outer * inner_total
+    return _checked(total)
 
 
 def mock_theta_psi(n_max: int, form: str = "theta") -> TruncatedSeries:

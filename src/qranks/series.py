@@ -15,6 +15,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def _add_product(bucket: dict[tuple[int, ...], int], terms1: dict[tuple[int, ...], int],
+                 terms2: dict[tuple[int, ...], int]) -> None:
+    """Add terms1 * terms2 into ``bucket`` in place, dropping sums that reach 0.
+
+    This is the only monomial-product loop: every product and inverse in
+    this module goes through it.
+    """
+    for e1, v1 in terms1.items():
+        for e2, v2 in terms2.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            total = bucket.get(exps, 0) + v1 * v2
+            if total:
+                bucket[exps] = total
+            else:
+                bucket.pop(exps, None)
+
+
 class LaurentCoefficient:
     """Sparse integer polynomial in x_1^(+-1) .. x_k^(+-1).
 
@@ -97,14 +114,7 @@ class LaurentCoefficient:
     def __mul__(self, other: LaurentCoefficient) -> LaurentCoefficient:
         self._check_compatible(other)
         product: dict[tuple[int, ...], int] = {}
-        for e1, v1 in self.terms.items():
-            for e2, v2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                total = product.get(exps, 0) + v1 * v2
-                if total == 0:
-                    product.pop(exps, None)
-                else:
-                    product[exps] = total
+        _add_product(product, self.terms, other.terms)
         return LaurentCoefficient(self.var_count, product)
 
     def scaled(self, factor: int) -> LaurentCoefficient:
@@ -197,6 +207,11 @@ class TruncatedSeries:
         return cls(n_max, var_count, coeffs)
 
     @classmethod
+    def _from_buckets(cls, n_max: int, var_count: int,
+                      buckets: list[dict[tuple[int, ...], int]]) -> TruncatedSeries:
+        return cls(n_max, var_count, [LaurentCoefficient(var_count, b) for b in buckets])
+
+    @classmethod
     def from_integer_coefficients(cls, values: list[int]) -> TruncatedSeries:
         """Variable-free series with the given q^0..q^N integer coefficients."""
         coeffs = [LaurentCoefficient.constant(v, 0) for v in values]
@@ -230,24 +245,14 @@ class TruncatedSeries:
         self._check_compatible(other)
         n_max = min(self.truncation_order, other.truncation_order)
         acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(n_max + 1)]
+        nonzero = [(j, b.terms) for j, b in enumerate(other.coeffs[: n_max + 1]) if b.terms]
         for i, a in enumerate(self.coeffs[: n_max + 1]):
-            if a.is_zero():
-                continue
-            for j in range(n_max + 1 - i):
-                b = other.coeffs[j]
-                if b.is_zero():
-                    continue
-                bucket = acc[i + j]
-                for e1, v1 in a.terms.items():
-                    for e2, v2 in b.terms.items():
-                        exps = tuple(p + r for p, r in zip(e1, e2))
-                        total = bucket.get(exps, 0) + v1 * v2
-                        if total == 0:
-                            bucket.pop(exps, None)
-                        else:
-                            bucket[exps] = total
-        coeffs = [LaurentCoefficient(self.var_count, bucket) for bucket in acc]
-        return TruncatedSeries(n_max, self.var_count, coeffs)
+            if a.terms:
+                for j, b in nonzero:
+                    if i + j > n_max:
+                        break
+                    _add_product(acc[i + j], a.terms, b)
+        return TruncatedSeries._from_buckets(n_max, self.var_count, acc)
 
     def inverse(self) -> TruncatedSeries:
         """Multiplicative inverse modulo q^(N+1).
@@ -258,16 +263,13 @@ class TruncatedSeries:
         if not self.coeffs[0].is_one():
             raise ValueError("non-unit constant term")
         n_max = self.truncation_order
-        inv = [LaurentCoefficient.constant(1, self.var_count)]
+        inv: list[dict[tuple[int, ...], int]] = [{(0,) * self.var_count: 1}]
         for n in range(1, n_max + 1):
-            total = LaurentCoefficient.zero(self.var_count)
+            total: dict[tuple[int, ...], int] = {}
             for j in range(1, n + 1):
-                a = self.coeffs[j]
-                if a.is_zero():
-                    continue
-                total = total + a * inv[n - j]
-            inv.append(-total)
-        return TruncatedSeries(n_max, self.var_count, inv)
+                _add_product(total, self.coeffs[j].terms, inv[n - j])
+            inv.append({exps: -value for exps, value in total.items()})
+        return TruncatedSeries._from_buckets(n_max, self.var_count, inv)
 
     # ------------------------------------------------------------------
     # access
@@ -370,20 +372,19 @@ def pochhammer(spec: FactorSpec, count: int | None, n_max: int,
             spec.var_exponent if i == spec.var_index - 1 else 0 for i in range(var_count)
         )
 
-    result = TruncatedSeries.one(n_max, var_count)
-    j = 1
-    while True:
-        if count is not None and j > count:
-            break
-        q_power = spec.q_offset + spec.q_step * (j - 1)
-        if q_power > n_max:
-            if count is None:
-                break
-            # remaining factors are 1 modulo q^(n_max+1); skip them all
-            break
-        factor = TruncatedSeries.one(n_max, var_count) - TruncatedSeries.monomial(
-            spec.sign, exponents, q_power, n_max
-        )
-        result = result * factor
+    # multiply each binomial 1 - a*q^p into the buckets in place; walking n
+    # downward reads bucket n - p before it changes (a q^0 factor reads a copy)
+    acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(n_max + 1)]
+    acc[0][(0,) * var_count] = 1
+    minus_a = {exponents: -spec.sign}
+    q_power = spec.q_offset
+    j = 0
+    # factors beyond q^n_max are 1 modulo q^(n_max+1)
+    while q_power <= n_max and (count is None or j < count):
+        for n in range(n_max, q_power - 1, -1):
+            source = acc[n - q_power]
+            if source:
+                _add_product(acc[n], dict(source) if q_power == 0 else source, minus_a)
+        q_power += spec.q_step
         j += 1
-    return result
+    return TruncatedSeries._from_buckets(n_max, var_count, acc)

@@ -1,5 +1,7 @@
 """Generating-function builders against their enumeration oracles."""
 
+import itertools
+
 import pytest
 
 from qranks import combinat, genfun
@@ -168,3 +170,24 @@ class TestDeterminism:
         ]
         for build in builders:
             assert build() == build()
+
+
+class TestIndexTuples:
+    """The one index enumerator against a brute-force filter of gap tuples."""
+
+    @pytest.mark.parametrize("order,step", [
+        (genfun._durfee_order, 0),
+        (sum, 1),
+        (genfun._self_conjugate_order, 1),
+    ])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_filtered_product(self, order, step, k):
+        top = 20
+        # gap m_1 >= 1, later gaps >= step, and no M_j can exceed its order
+        ranges = [range(1, top + 1)] + [range(step, top + 1)] * (k - 1)
+        region = {big for big in (tuple(itertools.accumulate(gaps))
+                                  for gaps in itertools.product(*ranges))
+                  if order(big) <= top}
+        for n_max in range(top + 1):
+            expected = sorted(big for big in region if order(big) <= n_max)
+            assert list(genfun._index_tuples(k, n_max, order, step)) == expected

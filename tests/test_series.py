@@ -1,7 +1,7 @@
 """Unit and property tests for the exact series engine."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qranks.series import FactorSpec, LaurentCoefficient, TruncatedSeries, pochhammer
@@ -244,3 +244,76 @@ def test_no_zero_terms_survive_operations(data):
     for result in (a + b, a - b, a * b):
         for coeff in result.coeffs:
             assert all(v != 0 for v in coeff.terms.values())
+
+
+# ----------------------------------------------------------------------
+# oracles: the plain products the kernel replaces
+# ----------------------------------------------------------------------
+
+
+def naive_product(a, b):
+    """Every pair of monomials of a and b, multiplied and summed."""
+    n_max = min(a.truncation_order, b.truncation_order)
+    result = TruncatedSeries.zero(n_max, a.var_count)
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            if i + j > n_max:
+                continue
+            for e1, v1 in ca.terms.items():
+                for e2, v2 in cb.terms.items():
+                    exps = tuple(p + r for p, r in zip(e1, e2))
+                    result = result + TruncatedSeries.monomial(v1 * v2, exps, i + j, n_max)
+    return result
+
+
+def product_of_factors(spec, count, n_max, var_count):
+    """pochhammer as one series multiplication per factor 1 - a*q^p."""
+    if spec.var_index is None:
+        exps = (0,) * var_count
+    else:
+        exps = tuple(spec.var_exponent if i == spec.var_index - 1 else 0
+                     for i in range(var_count))
+    result = TruncatedSeries.one(n_max, var_count)
+    j = 1
+    while count is None or j <= count:
+        q_power = spec.q_offset + spec.q_step * (j - 1)
+        if q_power > n_max:
+            break
+        result = result * (TruncatedSeries.one(n_max, var_count)
+                           - TruncatedSeries.monomial(spec.sign, exps, q_power, n_max))
+        j += 1
+    return result
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_mul_matches_naive_product(data):
+    k = data.draw(st.integers(0, 2))
+    a = data.draw(small_series(var_count=k, n_max=data.draw(st.integers(0, 8))))
+    b = data.draw(small_series(var_count=k, n_max=data.draw(st.integers(0, 8))))
+    assert a * b == naive_product(a, b)
+
+
+@given(
+    var_count=st.integers(0, 2),
+    sign=st.sampled_from([1, -1]),
+    var=st.sampled_from([None, 1, 2]),
+    exp=st.sampled_from([1, -1]),
+    offset=st.integers(0, 4),
+    step=st.integers(1, 3),
+    count=st.one_of(st.none(), st.integers(0, 8)),
+    n_max=st.integers(0, 10),
+)
+@settings(max_examples=200, deadline=None)
+# q_offset=0 puts a q^0 factor 1 - a first, which must read a copy of its bucket
+@example(var_count=1, sign=1, var=1, exp=1, offset=0, step=1, count=None, n_max=8)
+@example(var_count=1, sign=-1, var=1, exp=-1, offset=0, step=2, count=3, n_max=8)
+@example(var_count=0, sign=1, var=None, exp=1, offset=0, step=1, count=2, n_max=5)
+def test_pochhammer_matches_product_of_factors(var_count, sign, var, exp, offset, step,
+                                               count, n_max):
+    if var is not None and var > var_count:
+        var = None
+    spec = FactorSpec(sign, var, exp, offset, step)
+    assert pochhammer(spec, count, n_max, var_count) == product_of_factors(
+        spec, count, n_max, var_count)
+
