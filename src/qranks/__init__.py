@@ -73,57 +73,7 @@ from .specialize import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComplexSeries",
-    "DurfeeSymbol",
-    "FactorSpec",
-    "GaussianSeries",
-    "KMarkedDurfeeSymbol",
-    "KMarkedSUSymbol",
-    "LaurentCoefficient",
-    "MarkedPart",
-    "Partition",
-    "RootOfUnityVector",
-    "SUSequence",
-    "SUSymbol",
-    "TruncatedSeries",
-    "count_complete_odd_partitions",
-    "count_even_part_parity",
-    "count_marked_durfee",
-    "count_marked_unimodal",
-    "count_partitions_by_rank",
-    "count_self_conjugate",
-    "count_unimodal_by_rank",
-    "count_unimodal_total",
-    "durfee_decompose",
-    "durfee_ranks",
-    "durfee_recompose",
-    "dyson_rank",
-    "enumerate_complete_odd_partitions",
-    "enumerate_marked_durfee",
-    "enumerate_marked_unimodal",
-    "enumerate_partitions",
-    "enumerate_self_conjugate_symbols",
-    "enumerate_su_sequences",
-    "even_part_parity_series",
-    "marked_durfee_rank_series",
-    "marked_unimodal_rank_series",
-    "mock_theta_psi",
-    "odd_parts_to_self_conjugate",
-    "partition_rank_series",
-    "partition_series",
-    "pochhammer",
-    "rank_census_marked_durfee",
-    "rank_census_marked_unimodal",
-    "rank_census_partitions",
-    "rank_census_unimodal",
-    "self_conjugate_series",
-    "self_conjugate_to_odd_parts",
-    "specialize_exact",
-    "specialize_numeric",
-    "su_rank",
-    "su_sequence",
-    "su_symbol",
-    "unimodal_rank_series",
-    "unimodal_ranks",
-]
+# every public class and function imported above, and nothing else
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and getattr(value, "__module__", "").startswith("qranks."))

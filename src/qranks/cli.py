@@ -239,21 +239,12 @@ def _first_census_mismatch(series_terms, census) -> str | None:
     return "coefficient sets differ"
 
 
-def _cells_thm12(n_max: int, k_max: int):
+def _cells_census(build, census, n_max: int, k_max: int):
+    """Each q^n coefficient of build(k, n_max) against census(n, k)."""
     for k in range(1, k_max + 1):
-        series = genfun.marked_unimodal_rank_series(k, n_max)
+        series = build(k, n_max)
         for n in range(1, n_max + 1):
-            census = combinat.rank_census_marked_unimodal(n, k)
-            detail = _first_census_mismatch(series.coeffs[n].terms, census)
-            yield {"k": k, "n": n}, detail
-
-
-def _cells_thm11(n_max: int, k_max: int):
-    for k in range(1, k_max + 1):
-        series = genfun.marked_durfee_rank_series(k, n_max)
-        for n in range(1, n_max + 1):
-            census = combinat.rank_census_marked_durfee(n, k)
-            detail = _first_census_mismatch(series.coeffs[n].terms, census)
+            detail = _first_census_mismatch(series.coeffs[n].terms, census(n, k))
             yield {"k": k, "n": n}, detail
 
 
@@ -320,10 +311,15 @@ def _cells_bijections(n_max: int):
         yield {"bijection": "self-conjugate", "n": n}, bad
 
 
-# suite: (cell generator, default n_max, default k_max), in `--suite all` order
+# suite: (cell generator, default n_max, default k_max), in `--suite all` order;
+# the lambdas look up the genfun and combinat functions when a suite runs
 _SUITES = {
-    "thm-1-2": (_cells_thm12, 22, 3),
-    "thm-1-1": (_cells_thm11, 18, 2),
+    "thm-1-2": (lambda n_max, k_max: _cells_census(
+        genfun.marked_unimodal_rank_series, combinat.rank_census_marked_unimodal,
+        n_max, k_max), 22, 3),
+    "thm-1-1": (lambda n_max, k_max: _cells_census(
+        genfun.marked_durfee_rank_series, combinat.rank_census_marked_durfee,
+        n_max, k_max), 18, 2),
     "thm-1-5": (_cells_thm15, 30, 3),
     "psi": (lambda n_max, k_max: _cells_psi(n_max), 50, None),
     "bijections": (lambda n_max, k_max: _cells_bijections(n_max), 20, None),

@@ -9,15 +9,27 @@ statistics possible.
 All enumerations are exhaustive, duplicate-free and returned in a documented
 canonical order so they can serve as oracles for the generating functions in
 :mod:`qranks.genfun`.  Everything is exact integer combinatorics.
+
+One parts enumerator, :func:`_parts`, lists every row, partition and
+largest-marked-part profile, and one marking loop, :func:`_markings`, marks
+the plain symbols of both families.  Each family keeps its own validator.
+None of this is shared with :mod:`qranks.genfun`, whose index enumerator is
+the other side of every verified identity.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Iterator, NamedTuple
 
 RankVector = tuple[int, ...]
+
+# entries per census cache; `verify` asks for each (n, k) once, so the cache
+# serves the repeated point queries of the count_* functions
+_CENSUS_CACHE_SIZE = 128
 
 
 # ----------------------------------------------------------------------
@@ -52,12 +64,15 @@ class Partition:
         return "+".join(str(p) for p in self.parts) if self.parts else "(empty)"
 
 
-def _partitions_into(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
+def _parts(n: int, largest: int, smallest: int = 1,
+           strict: bool = False) -> Iterator[tuple[int, ...]]:
+    """Weakly (with ``strict``, strictly) decreasing tuples of parts in
+    [smallest, largest] summing to n, in descending lexicographic order."""
     if n == 0:
         yield ()
         return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions_into(n - first, first):
+    for first in range(min(n, largest), smallest - 1, -1):
+        for rest in _parts(n - first, first - strict, smallest, strict):
             yield (first,) + rest
 
 
@@ -65,7 +80,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n, each once, in descending lexicographic order."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    for parts in _partitions_into(n, n if n else 1):
+    for parts in _parts(n, n):
         yield Partition(parts)
 
 
@@ -76,13 +91,9 @@ def dyson_rank(p: Partition) -> int:
     return p.parts[0] - len(p.parts)
 
 
-@lru_cache(maxsize=None)
-def _partition_rank_census(n: int) -> dict[int, int]:
-    census: dict[int, int] = {}
-    for p in enumerate_partitions(n):
-        r = dyson_rank(p)
-        census[r] = census.get(r, 0) + 1
-    return census
+@lru_cache(maxsize=_CENSUS_CACHE_SIZE)
+def _partition_rank_census(n: int) -> Counter[int]:
+    return Counter(map(dyson_rank, enumerate_partitions(n)))
 
 
 def rank_census_partitions(n: int) -> dict[int, int]:
@@ -243,23 +254,13 @@ def su_sequence(sym: SUSymbol) -> SUSequence:
     return SUSequence(parts)
 
 
-def _distinct_partitions(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """Strictly decreasing tuples of positive parts <= max_part summing to n."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _distinct_partitions(n - first, first - 1):
-            yield (first,) + rest
-
-
 def _su_symbols(n: int) -> list[SUSymbol]:
     symbols = []
     for peak in range(1, n + 1):
         rest = n - peak
         for top_size in range(rest + 1):
-            for top in _distinct_partitions(top_size, peak - 1):
-                for bottom in _distinct_partitions(rest - top_size, peak - 1):
+            for top in _parts(top_size, peak - 1, strict=True):
+                for bottom in _parts(rest - top_size, peak - 1, strict=True):
                     symbols.append(SUSymbol(Partition(top), Partition(bottom), peak))
     # canonical order: peak descending, then rows ascending lexicographically
     symbols.sort(key=lambda s: (-s.peak, s.top.parts, s.bottom.parts))
@@ -281,13 +282,9 @@ def su_rank(seq: SUSequence) -> int:
     return (len(seq.parts) - 1 - i) - i
 
 
-@lru_cache(maxsize=None)
-def _unimodal_rank_census(n: int) -> dict[int, int]:
-    census: dict[int, int] = {}
-    for seq in enumerate_su_sequences(n):
-        r = su_rank(seq)
-        census[r] = census.get(r, 0) + 1
-    return census
+@lru_cache(maxsize=_CENSUS_CACHE_SIZE)
+def _unimodal_rank_census(n: int) -> Counter[int]:
+    return Counter(map(su_rank, enumerate_su_sequences(n)))
 
 
 def rank_census_unimodal(n: int) -> dict[int, int]:
@@ -502,36 +499,30 @@ def _ranks_from_rows(top, bottom, k: int) -> RankVector:
 
 def durfee_ranks(sym: KMarkedDurfeeSymbol) -> RankVector:
     """The k rank statistics (mark-j top length minus bottom length, minus 1
-    except for mark k)."""
-    reason = _marked_durfee_violation(sym.top, sym.bottom, sym.side, sym.k)
-    if reason:
-        raise ValueError(f"invalid symbol: {reason}")
+    except for mark k).  The frozen symbol validated its rows when built."""
     return _ranks_from_rows(sym.top, sym.bottom, sym.k)
 
 
 def unimodal_ranks(sym: KMarkedSUSymbol) -> RankVector:
-    """The k rank statistics of a k-marked unimodal symbol."""
-    reason = _marked_unimodal_violation(sym.top, sym.bottom, sym.peak, sym.k)
-    if reason:
-        raise ValueError(f"invalid symbol: {reason}")
+    """The k rank statistics of a k-marked unimodal symbol, read from rows
+    the frozen symbol validated when built."""
     return _ranks_from_rows(sym.top, sym.bottom, sym.k)
 
 
-def _noninc_mark_sequences(length: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All nonincreasing sequences over 1..k of the given length."""
-    if length == 0:
-        yield ()
-        return
-
-    def rec(remaining: int, ceiling: int):
-        if remaining == 0:
-            yield ()
-            return
-        for m in range(ceiling, 0, -1):
-            for rest in rec(remaining - 1, m):
-                yield (m,) + rest
-
-    yield from rec(length, k)
+def _markings(top_values, bottom_values, k: int):
+    """Every nonincreasing marking of both rows in which the top row carries
+    each mark 1..k-1, as (top, bottom) rows; the caller's validator decides
+    the interval rules, which differ between the two families."""
+    marks = range(k, 0, -1)  # nonincreasing mark sequences, largest first
+    needed = set(range(1, k))
+    bottoms = [tuple(map(MarkedPart, bottom_values, bottom_marks))
+               for bottom_marks in combinations_with_replacement(
+                   marks, len(bottom_values))]
+    for top_marks in combinations_with_replacement(marks, len(top_values)):
+        if needed <= set(top_marks):
+            top = tuple(map(MarkedPart, top_values, top_marks))
+            for bottom in bottoms:
+                yield top, bottom
 
 
 def enumerate_marked_durfee(n: int, k: int) -> list[KMarkedDurfeeSymbol]:
@@ -549,25 +540,9 @@ def enumerate_marked_durfee(n: int, k: int) -> list[KMarkedDurfeeSymbol]:
     symbols = []
     for p in enumerate_partitions(n):
         plain = durfee_decompose(p)
-        top_values = plain.top.parts
-        bottom_values = plain.bottom.parts
-        if k == 1:
-            symbols.append(KMarkedDurfeeSymbol(
-                tuple(MarkedPart(v, 1) for v in top_values),
-                tuple(MarkedPart(v, 1) for v in bottom_values),
-                plain.side, 1))
-            continue
-        needed = set(range(1, k))
-        for top_marks in _noninc_mark_sequences(len(top_values), k):
-            if not needed <= set(top_marks):
-                continue
-            top = tuple(MarkedPart(v, m) for v, m in zip(top_values, top_marks))
-            for bottom_marks in _noninc_mark_sequences(len(bottom_values), k):
-                bottom = tuple(
-                    MarkedPart(v, m) for v, m in zip(bottom_values, bottom_marks)
-                )
-                if _marked_durfee_violation(top, bottom, plain.side, k) is None:
-                    symbols.append(KMarkedDurfeeSymbol(top, bottom, plain.side, k))
+        for top, bottom in _markings(plain.top.parts, plain.bottom.parts, k):
+            if _marked_durfee_violation(top, bottom, plain.side, k) is None:
+                symbols.append(KMarkedDurfeeSymbol(top, bottom, plain.side, k))
     if k > 1:
         symbols.sort(key=lambda s: (s.side, s.top, s.bottom))
     return symbols
@@ -575,105 +550,53 @@ def enumerate_marked_durfee(n: int, k: int) -> list[KMarkedDurfeeSymbol]:
 
 def _marked_unimodal_filter(n: int, k: int) -> list[KMarkedSUSymbol]:
     symbols = []
-    needed = set(range(1, k))
     for plain in _su_symbols(n):
-        top_values = plain.top.parts
-        bottom_values = plain.bottom.parts
-        for top_marks in _noninc_mark_sequences(len(top_values), k):
-            if not needed <= set(top_marks):
-                continue
-            top = tuple(MarkedPart(v, m) for v, m in zip(top_values, top_marks))
-            for bottom_marks in _noninc_mark_sequences(len(bottom_values), k):
-                bottom = tuple(
-                    MarkedPart(v, m) for v, m in zip(bottom_values, bottom_marks)
-                )
-                if _marked_unimodal_violation(top, bottom, plain.peak, k) is None:
-                    symbols.append(KMarkedSUSymbol(top, bottom, plain.peak, k))
+        for top, bottom in _markings(plain.top.parts, plain.bottom.parts, k):
+            if _marked_unimodal_violation(top, bottom, plain.peak, k) is None:
+                symbols.append(KMarkedSUSymbol(top, bottom, plain.peak, k))
     return symbols
-
-
-def _subsets_with_sum(values: tuple[int, ...], target: int) -> Iterator[tuple[int, ...]]:
-    if target == 0:
-        yield ()
-        return
-    for i, v in enumerate(values):
-        if v > target:
-            continue
-        for rest in _subsets_with_sum(values[i + 1:], target - v):
-            yield (v,) + rest
 
 
 def _marked_unimodal_constructive(n: int, k: int) -> list[KMarkedSUSymbol]:
     """Build symbols directly from their largest-marked-part profile.
 
-    Choose gaps m_1..m_k >= 1 and set M_j = m_1 + ... + m_j; the peak is M_k
-    and M_j is forced to be the largest mark-j part of the top row.  The rest
-    of the symbol is a free choice of distinct values inside the forced
-    intervals: extra top and bottom mark-j values from [M_(j-1)+1, M_j - 1],
-    plus optionally M_j itself in the bottom row (j < k), and mark-k values
-    from [M_(k-1)+1, peak-1] in both rows.
+    Choose M_1 < ... < M_k; the peak is M_k and M_j is forced to be the
+    largest mark-j part of the top row.  The rest of the symbol is a free
+    choice of distinct values inside the forced intervals: extra top and
+    bottom mark-j values from [M_(j-1)+1, M_j - 1], plus optionally M_j
+    itself in the bottom row (j < k), and mark-k values from
+    [M_(k-1)+1, peak-1] in both rows.
     """
     symbols: list[KMarkedSUSymbol] = []
 
-    def fill(big: list[int]):
-        budget = n - sum(big)
-        pools: list[tuple[int, ...]] = []
-        for idx in range(1, k):
-            lo = big[idx - 2] + 1 if idx >= 2 else 1
-            inner = tuple(range(lo, big[idx - 1]))
-            pools.append(inner)                    # extra top values of mark idx
-            pools.append(inner + (big[idx - 1],))  # bottom values of mark idx
-        lo_k = big[k - 2] + 1 if k >= 2 else 1
-        pool_k = tuple(range(lo_k, big[k - 1]))
-        pools.append(pool_k)                       # top values of mark k
-        pools.append(pool_k)                       # bottom values of mark k
+    def fill(big: tuple[int, ...]):
+        forced = tuple(MarkedPart(v, j) for j, v in enumerate(big[:-1], start=1))
+        lows = (1,) + tuple(v + 1 for v in big[:-1])  # M_(j-1) + 1
+        marks = range(1, k + 1)
+        # (mark, lo, hi) of the free values: k top-row pools, then k bottom-row
+        pools = ([(j, lows[j - 1], big[j - 1] - 1) for j in marks]
+                 + [(j, lows[j - 1], big[j - 1] - (j == k)) for j in marks])
 
-        def assign(pool_idx: int, remaining: int, chosen: list[tuple[int, ...]]):
-            if pool_idx == len(pools):
-                if remaining:
-                    return
-                top_row = []
-                bottom_row = []
-                for idx in range(1, k):
-                    top_vals = sorted(chosen[2 * (idx - 1)] + (big[idx - 1],),
-                                      reverse=True)
-                    top_row.extend(MarkedPart(v, idx) for v in top_vals)
-                    bottom_row.extend(
-                        MarkedPart(v, idx)
-                        for v in sorted(chosen[2 * idx - 1], reverse=True)
-                    )
-                top_row.extend(MarkedPart(v, k) for v in sorted(chosen[-2], reverse=True))
-                bottom_row.extend(MarkedPart(v, k) for v in sorted(chosen[-1], reverse=True))
-                symbols.append(
-                    KMarkedSUSymbol(tuple(top_row), tuple(bottom_row), big[-1], k)
-                )
+        def assign(i: int, remaining: int, chosen: list[tuple[MarkedPart, ...]]):
+            if i == len(pools):
+                if not remaining:
+                    # the symbol puts each row in canonical order itself
+                    top = forced + sum(chosen[:k], ())
+                    symbols.append(KMarkedSUSymbol(top, sum(chosen[k:], ()), big[-1], k))
                 return
+            mark, lo, hi = pools[i]
             for s in range(remaining + 1):
-                for subset in _subsets_with_sum(pools[pool_idx], s):
-                    chosen.append(subset)
-                    assign(pool_idx + 1, remaining - s, chosen)
+                for values in _parts(s, hi, lo, strict=True):
+                    chosen.append(tuple(MarkedPart(v, mark) for v in values))
+                    assign(i + 1, remaining - s, chosen)
                     chosen.pop()
 
-        assign(0, budget, [])
+        assign(0, n - sum(big), [])
 
-    def choose_gaps(big: list[int], big_sum: int):
-        if len(big) == k:
-            fill(big)
-            return
-        prev = big[-1] if big else 0
-        rem_after = k - len(big) - 1  # positions left after the one chosen now
-        m = 1
-        while True:
-            new_big = prev + m
-            tail_min = sum(new_big + t for t in range(1, rem_after + 1))
-            if big_sum + new_big + tail_min > n:
-                break
-            big.append(new_big)
-            choose_gaps(big, big_sum + new_big)
-            big.pop()
-            m += 1
-
-    choose_gaps([], 0)
+    for size in range(n + 1):
+        for profile in _parts(size, size, strict=True):
+            if len(profile) == k:
+                fill(profile[::-1])
     return symbols
 
 
@@ -694,29 +617,19 @@ def enumerate_marked_unimodal(n: int, k: int,
         raise ValueError("k must be >= 1")
     if strategy not in ("filter", "constructive"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if k == 1:
-        return [
-            KMarkedSUSymbol(
-                tuple(MarkedPart(v, 1) for v in sym.top.parts),
-                tuple(MarkedPart(v, 1) for v in sym.bottom.parts),
-                sym.peak, 1)
-            for sym in _su_symbols(n)
-        ]
-    if strategy == "filter":
+    # at k=1 each plain symbol has one marking, already in the plain order
+    if strategy == "filter" or k == 1:
         symbols = _marked_unimodal_filter(n, k)
     else:
         symbols = _marked_unimodal_constructive(n, k)
-    symbols.sort(key=lambda s: (s.peak, s.top, s.bottom))
+    if k > 1:
+        symbols.sort(key=lambda s: (s.peak, s.top, s.bottom))
     return symbols
 
 
-@lru_cache(maxsize=None)
-def _marked_unimodal_census(n: int, k: int) -> dict[RankVector, int]:
-    census: dict[RankVector, int] = {}
-    for sym in enumerate_marked_unimodal(n, k, "filter"):
-        r = unimodal_ranks(sym)
-        census[r] = census.get(r, 0) + 1
-    return census
+@lru_cache(maxsize=_CENSUS_CACHE_SIZE)
+def _marked_unimodal_census(n: int, k: int) -> Counter[RankVector]:
+    return Counter(map(unimodal_ranks, enumerate_marked_unimodal(n, k, "filter")))
 
 
 def rank_census_marked_unimodal(n: int, k: int) -> dict[RankVector, int]:
@@ -732,13 +645,9 @@ def count_marked_unimodal(ranks: RankVector, n: int, k: int) -> int:
     return _marked_unimodal_census(n, k).get(tuple(ranks), 0)
 
 
-@lru_cache(maxsize=None)
-def _marked_durfee_census(n: int, k: int) -> dict[RankVector, int]:
-    census: dict[RankVector, int] = {}
-    for sym in enumerate_marked_durfee(n, k):
-        r = durfee_ranks(sym)
-        census[r] = census.get(r, 0) + 1
-    return census
+@lru_cache(maxsize=_CENSUS_CACHE_SIZE)
+def _marked_durfee_census(n: int, k: int) -> Counter[RankVector]:
+    return Counter(map(durfee_ranks, enumerate_marked_durfee(n, k)))
 
 
 def rank_census_marked_durfee(n: int, k: int) -> dict[RankVector, int]:
@@ -775,13 +684,9 @@ def count_self_conjugate(n: int, k: int) -> int:
     for peak in range(1, n + 1):
         if (n - peak) % 2:
             continue
-        half = (n - peak) // 2
-        for values in _distinct_partitions(half, peak - 1):
-            if k == 1:
-                total += 1
-                continue
-            for marks in _noninc_mark_sequences(len(values), k):
-                row = tuple(MarkedPart(v, m) for v, m in zip(values, marks))
+        for values in _parts((n - peak) // 2, peak - 1, strict=True):
+            for marks in combinations_with_replacement(range(k, 0, -1), len(values)):
+                row = tuple(map(MarkedPart, values, marks))
                 if _marked_unimodal_violation(row, row, peak, k) is None:
                     total += 1
     return total
@@ -796,7 +701,7 @@ def enumerate_self_conjugate_symbols(n: int) -> list[SUSymbol]:
     for peak in range(1, n + 1):
         if (n - peak) % 2:
             continue
-        for values in _distinct_partitions((n - peak) // 2, peak - 1):
+        for values in _parts((n - peak) // 2, peak - 1, strict=True):
             row = Partition(values)
             symbols.append(SUSymbol(row, row, peak))
     symbols.sort(key=lambda s: (-s.peak, s.top.parts, s.bottom.parts))

@@ -81,6 +81,13 @@ def _check_arity(s: TruncatedSeries, v: RootOfUnityVector) -> None:
         )
 
 
+def _turns(v: RootOfUnityVector) -> tuple[int, tuple[int, ...]]:
+    """The lcm L of the angle denominators and each angle as a multiple of
+    1/L, so a monomial's angle is an integer count of 1/L turns."""
+    period = math.lcm(*(f.denominator for f in v.entries))
+    return period, tuple(f.numerator * (period // f.denominator) for f in v.entries)
+
+
 def specialize_exact(s: TruncatedSeries, v: RootOfUnityVector) -> GaussianSeries:
     """Evaluate at fourth roots of unity, exactly.
 
@@ -89,19 +96,18 @@ def specialize_exact(s: TruncatedSeries, v: RootOfUnityVector) -> GaussianSeries
     integer.
     """
     _check_arity(s, v)
-    quarter_turns = []
     for f in v.entries:
         if 4 % f.denominator:
             raise ValueError(
                 f"angle {f} is not a fourth root of unity; use specialize_numeric"
             )
-        quarter_turns.append(f.numerator * (4 // f.denominator))
+    period, turns = _turns(v)
     coeffs = []
     for c in s.coeffs:
         re = im = 0
         for exps, value in c.terms.items():
-            t = sum(q * e for q, e in zip(quarter_turns, exps)) % 4
-            ur, ui = _GAUSSIAN_UNITS[t]
+            t = sum(a * e for a, e in zip(turns, exps)) % period
+            ur, ui = _GAUSSIAN_UNITS[4 * t // period]
             re += value * ur
             im += value * ui
         coeffs.append((re, im))
@@ -118,22 +124,19 @@ def specialize_numeric(s: TruncatedSeries, v: RootOfUnityVector) -> ComplexSerie
     no rounding beyond the final additions.
     """
     _check_arity(s, v)
+    period, turns = _turns(v)
     coeffs = []
     bounds = []
     for c in s.coeffs:
         total = 0j
         magnitude = 0
         for exps, value in c.terms.items():
-            angle = Fraction(0)
-            for f, e in zip(v.entries, exps):
-                angle += f * e
-            angle -= math.floor(angle)
-            if 4 % angle.denominator == 0:
-                t = angle.numerator * (4 // angle.denominator) % 4
-                ur, ui = _GAUSSIAN_UNITS[t]
-                unit = complex(ur, ui)
+            t = sum(a * e for a, e in zip(turns, exps)) % period
+            if 4 * t % period == 0:
+                unit = complex(*_GAUSSIAN_UNITS[4 * t // period])
             else:
-                unit = cmath.exp(2j * math.pi * float(angle))
+                # t / L rounds correctly, as float(Fraction(t, L)) does
+                unit = cmath.exp(2j * math.pi * (t / period))
             total += value * unit
             magnitude += abs(value)
         coeffs.append(total)

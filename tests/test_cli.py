@@ -122,6 +122,42 @@ def test_series_output_golden(capsys, function, k, n_max, form, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of `qranks enumerate --format csv`, recorded before the combinat
+# parts enumerator and marking loop were consolidated: same rows, same order.
+GOLDEN_ENUMERATE = [
+    ("kdurfee", 1, 4, "33300a0c8e0fb2d1c69e13a88bb65c0e73fefc5ca99457982103d41bfa182c81"),
+    ("kdurfee", 1, 7, "ce95b5b2966fb8cdd0f26e191a58c7e2ffa43a011e98faa88c609fd8361ef409"),
+    ("kdurfee", 1, 10, "f20763fee560a3336c29cf665259d9f2e44a4051c714d0618e8f69a65a51f2b5"),
+    ("kdurfee", 2, 4, "e97c8241f465c6d1623cc5d8b56213a18bcc7cee6fdda54d916b92eefe9c0d01"),
+    ("kdurfee", 2, 7, "b2757e7b32146302f16be7b9f2682f231a568b42613b814d724ab1e677ece72a"),
+    ("kdurfee", 2, 10, "f6b83ebb2e03f36ae53d24b143a6a1232d726ff6a23359e0693f009b501575b7"),
+    ("kdurfee", 3, 4, "381949d893c087f9b1fcc5d106263941c94dfb54389aa8a82bc8ed382d9b2036"),
+    ("kdurfee", 3, 7, "1e76a3f36d63025226d34a4b1c7cad3653636564a7b8c21a7ea0d3ce842ea9b4"),
+    ("kdurfee", 3, 10, "482770c0c0638ab0b3ea96c0f3e33b9d32b9349f6037fbed4ac342f51fc77084"),
+    ("ksu", 1, 4, "5aff41fefdba7d9293ec778a861a11deaeceea4b2d1fe8edc246df7c861f265d"),
+    ("ksu", 1, 7, "7a2e3a2abeb2ca3f4b98918311e6dcc636d8e2c6a246135089c6842c3b17ff68"),
+    ("ksu", 1, 10, "765330dca8455b6d05ce87724b2a3fe3de083322a7811125094c3c1b71b73548"),
+    ("ksu", 2, 4, "129ec674ec5f070cf2ba03852ecf7017c0745645f69d87851380feb1d7d6dcf3"),
+    ("ksu", 2, 7, "a71863f3d1b98d3c6f5b5eaf3ca1da137be8db822e8db7704c9810124fd08e31"),
+    ("ksu", 2, 10, "b4d41bb099592ef935e814337ce88f98ba82662f93889d8c983087325ca3072c"),
+    ("ksu", 3, 4, "2f0d8b10b09abc46bd45873dbfe5819fdd9a12fe34bf14bc3769b81f5593d1d7"),
+    ("ksu", 3, 7, "6873efc86bff1708a2028e515f6c79c7102bb8d11f0e5a124324377340fb7412"),
+    ("ksu", 3, 10, "07bf40dd7d2bb7a59a35bb7e17a6d41e4a58c969274435553c4698f8580ef354"),
+    ("partition", None, 9, "aa50d60b6f5cbf1f02af43b0f2361fbe8d86ace409f778ce6875dce83520dd80"),
+    ("su-seq", None, 9, "48f6d3137b5a12bd7a09bcf299937dda5a9fb03f49c9a8203f97c67a555f0efa"),
+]
+
+
+@pytest.mark.parametrize("obj,k,n,digest", GOLDEN_ENUMERATE)
+def test_enumerate_output_golden(capsys, obj, k, n, digest):
+    argv = ["enumerate", "--object", obj, "--n", str(n), "--format", "csv"]
+    if k is not None:
+        argv += ["--k", str(k)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestSpecializeOption:
     def test_exact_at_minus_one(self, capsys):
         code, out, _ = run(capsys, "series", "--function", "u1", "--n-max", "6",

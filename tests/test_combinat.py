@@ -1,5 +1,8 @@
 """Tests for enumeration, validation, rank statistics, and bijections."""
 
+import itertools
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -376,3 +379,34 @@ class TestSelfConjugateBijection:
     def test_complete_odd_counts(self):
         assert count_complete_odd_partitions(4) == 2  # 3+1 and 1+1+1+1
         assert count_complete_odd_partitions(7) == 3
+
+
+def _decreasing_compositions(n):
+    """Weakly decreasing compositions of n, read off every set of cut points
+    between n dots in a row."""
+    if n == 0:
+        return [()]
+    found = []
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        ends = [0, *itertools.compress(range(1, n), cuts), n]
+        parts = tuple(map(operator.sub, ends[1:], ends))
+        if all(map(operator.ge, parts, parts[1:])):
+            found.append(parts)
+    return found
+
+
+class TestParts:
+    """The one parts enumerator against a brute-force filter of compositions."""
+
+    def test_matches_filtered_compositions(self):
+        for n in range(21):
+            candidates = [(p, set(p), len(set(p)) == len(p))
+                          for p in sorted(_decreasing_compositions(n), reverse=True)]
+            for largest in range(n + 1):
+                for smallest in range(1, n + 2):
+                    allowed = set(range(smallest, largest + 1))
+                    for strict in (False, True):
+                        expected = [p for p, values, distinct in candidates
+                                    if values <= allowed and (distinct or not strict)]
+                        got = list(combinat._parts(n, largest, smallest, strict))
+                        assert got == expected, (n, largest, smallest, strict)

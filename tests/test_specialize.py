@@ -1,11 +1,16 @@
 """Root-of-unity evaluation, exact and numeric."""
 
+import cmath
+import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qranks import combinat, genfun
-from qranks.series import TruncatedSeries
+from qranks.series import LaurentCoefficient, TruncatedSeries
 from qranks.specialize import (
     RootOfUnityVector,
     specialize_exact,
@@ -121,3 +126,73 @@ class TestRootOfUnityVector:
             RootOfUnityVector((Fraction(5, 4),))
         with pytest.raises(ValueError, match="outside"):
             RootOfUnityVector((Fraction(-1, 4),))
+
+
+def fraction_loop_numeric(s, v):
+    """Reference for specialize_numeric: each monomial's angle summed as a
+    Fraction and reduced mod 1, quarter turns read from the unit table."""
+    coeffs = []
+    bounds = []
+    for c in s.coeffs:
+        total = 0j
+        magnitude = 0
+        for exps, value in c.terms.items():
+            angle = Fraction(0)
+            for f, e in zip(v.entries, exps):
+                angle += f * e
+            angle -= math.floor(angle)
+            if 4 % angle.denominator == 0:
+                unit = complex(*_UNITS[angle.numerator * (4 // angle.denominator) % 4])
+            else:
+                unit = cmath.exp(2j * math.pi * float(angle))
+            total += value * unit
+            magnitude += abs(value)
+        coeffs.append(total)
+        bounds.append(4.0 * (len(c.terms) + 1) * magnitude * sys.float_info.epsilon)
+    return coeffs, bounds
+
+
+@st.composite
+def series_at_angles(draw, values, denominators):
+    """A random series in 1..3 variables and a random angle vector whose
+    denominators come from ``denominators``."""
+    k = draw(st.integers(1, 3))
+    n_max = draw(st.integers(0, 6))
+    exps = st.tuples(*[st.integers(-n_max - 1, n_max + 1)] * k)
+    coeffs = [LaurentCoefficient(k, draw(st.dictionaries(exps, values, max_size=6)))
+              for _ in range(n_max + 1)]
+    angles = []
+    for _ in range(k):
+        b = draw(st.sampled_from(denominators))
+        angles.append(Fraction(draw(st.integers(0, b - 1)), b))
+    return TruncatedSeries(n_max, k, coeffs), RootOfUnityVector(tuple(angles))
+
+
+@given(series_at_angles(st.integers(-10 ** 6, 10 ** 6), range(1, 13)))
+@settings(max_examples=200, deadline=None)
+def test_numeric_matches_fraction_loop_bit_for_bit(case):
+    s, v = case
+    got = specialize_numeric(s, v)
+    coeffs, bounds = fraction_loop_numeric(s, v)
+    # repr tells signed zeros apart, which == does not
+    assert [repr(z) for z in got.coeffs] == [repr(z) for z in coeffs]
+    assert [repr(b) for b in got.error_bounds] == [repr(b) for b in bounds]
+
+
+# magnitudes past 2^53, where float(value) already rounds
+_HUGE = st.builds(lambda sign, m: sign * m, st.sampled_from([1, -1]),
+                  st.integers(2 ** 53 + 1, 2 ** 80))
+
+
+@given(series_at_angles(_HUGE, (1, 2, 4)))
+@settings(max_examples=200, deadline=None)
+def test_numeric_error_within_bound_beyond_double_precision(case):
+    s, v = case
+    numeric = specialize_numeric(s, v)
+    exact = specialize_exact(s, v)
+    for n, (z, (re, im), bound) in enumerate(
+            zip(numeric.coeffs, exact.coeffs, numeric.error_bounds)):
+        # |z - (re + i im)| <= bound, decided in exact rational arithmetic
+        d_re = Fraction(z.real) - re
+        d_im = Fraction(z.imag) - im
+        assert d_re * d_re + d_im * d_im <= Fraction(bound) ** 2, n
