@@ -11,8 +11,11 @@ canonical order so they can serve as oracles for the generating functions in
 :mod:`qranks.genfun`.  Everything is exact integer combinatorics.
 
 One parts enumerator, :func:`_parts`, lists every row, partition and
-largest-marked-part profile, and one marking loop, :func:`_markings`, marks
-the plain symbols of both families.  Each family keeps its own validator.
+largest-marked-part profile, and one pool filler, :func:`_marked_rows`,
+assigns every mark: it builds the marked symbols of both families (and the
+symmetric unimodal ones) from their profiles, without listing a marking the
+rules reject.  Each family keeps its own validator, which its frozen class
+runs on every symbol built.
 None of this is shared with :mod:`qranks.genfun`, whose index enumerator is
 the other side of every verified identity.
 """
@@ -22,7 +25,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from typing import Iterator, NamedTuple
 
 RankVector = tuple[int, ...]
@@ -163,11 +165,12 @@ def durfee_decompose(p: Partition) -> DurfeeSymbol:
 
 def durfee_recompose(sym: DurfeeSymbol) -> Partition:
     """Inverse of :func:`durfee_decompose`."""
-    d = sym.side
-    alpha = sym.top.parts
-    rows = [d + sum(1 for a in alpha if a >= i) for i in range(1, d + 1)]
-    rows.extend(sym.bottom.parts)
-    return Partition(tuple(rows))
+    return Partition(_recomposed(sym.top.parts, sym.bottom.parts, sym.side))
+
+
+def _recomposed(top, bottom, side: int) -> tuple[int, ...]:
+    rows = [side + sum(1 for a in top if a >= i) for i in range(1, side + 1)]
+    return tuple(rows) + tuple(bottom)
 
 
 # ----------------------------------------------------------------------
@@ -509,127 +512,104 @@ def unimodal_ranks(sym: KMarkedSUSymbol) -> RankVector:
     return _ranks_from_rows(sym.top, sym.bottom, sym.k)
 
 
-def _markings(top_values, bottom_values, k: int):
-    """Every nonincreasing marking of both rows in which the top row carries
-    each mark 1..k-1, as (top, bottom) rows; the caller's validator decides
-    the interval rules, which differ between the two families."""
-    marks = range(k, 0, -1)  # nonincreasing mark sequences, largest first
-    needed = set(range(1, k))
-    bottoms = [tuple(map(MarkedPart, bottom_values, bottom_marks))
-               for bottom_marks in combinations_with_replacement(
-                   marks, len(bottom_values))]
-    for top_marks in combinations_with_replacement(marks, len(top_values)):
-        if needed <= set(top_marks):
-            top = tuple(map(MarkedPart, top_values, top_marks))
-            for bottom in bottoms:
-                yield top, bottom
+def _marked_rows(n: int, k: int, strict: bool, symmetric: bool = False):
+    """Yield (top, bottom, M_k) for every k-marked symbol of size n; the only
+    code that assigns marks.
+
+    A symbol is fixed by its profile M_1..M_k, where M_j (j < k) is the
+    largest mark-j part of the top row and M_k is the Durfee side or the
+    peak, plus free parts that :func:`_parts` takes from (mark, lo, hi)
+    pools set by the profile.  Durfee symbols (weak) have
+    M_1 <= ... <= M_(k-1) <= side, cost side^2 plus their parts, and both
+    rows draw mark j from [M_(j-1), M_j] (M_0 = 1).  Unimodal symbols
+    (``strict``) have M_1 < ... < M_k = peak; the top row draws mark j from
+    [M_(j-1)+1, M_j-1] and the bottom row from [M_(j-1)+1, M_j], or
+    [M_(k-1)+1, peak-1] for mark k (M_0 = 0).  ``symmetric`` fills the
+    unimodal top pools only, at half the leftover size, and repeats the top
+    row below.  The ordering rules put every symbol in exactly one profile
+    and filling; the caller's frozen class still validates each one.
+    """
+    marks = range(1, k + 1)
+    for last in range(1, n + 1):
+        room = n - (last if strict else last * last)
+        if room < 0:
+            break
+        if symmetric:
+            if room % 2:
+                continue
+            room //= 2
+        for size in range(room + 1):
+            for below in _parts(size, last - strict, strict=strict):
+                if len(below) != k - 1:
+                    continue
+                profile = below[::-1] + (last,)
+                forced = tuple(map(MarkedPart, profile[:-1], marks))
+                lows = (1,) + tuple(m + strict for m in profile[:-1])
+                pools = [(j, lo, hi - strict) for j, lo, hi in zip(marks, lows, profile)]
+                if not symmetric:
+                    pools += [(j, lo, hi - (strict and j == k))
+                              for j, lo, hi in zip(marks, lows, profile)]
+                # list every pool but the last once, pruned to the budget;
+                # the last pool takes exactly what is left
+                *head, (mark, lo, hi) = pools
+                budget = room - size
+                partial = [((), budget)]
+                for j, lo_j, hi_j in head:
+                    listed = [(s, tuple(MarkedPart(v, j) for v in values))
+                              for s in range(budget + 1)
+                              for values in _parts(s, hi_j, lo_j, strict)]
+                    partial = [(chosen + (piece,), left - s)
+                               for chosen, left in partial
+                               for s, piece in listed if s <= left]
+                for chosen, left in partial:
+                    for values in _parts(left, hi, lo, strict):
+                        filled = chosen + (tuple(MarkedPart(v, mark) for v in values),)
+                        top = forced + sum(filled[:k], ())
+                        yield top, top if symmetric else sum(filled[k:], ()), last
 
 
 def enumerate_marked_durfee(n: int, k: int) -> list[KMarkedDurfeeSymbol]:
-    """All valid k-marked Durfee symbols of n.
+    """All valid k-marked Durfee symbols of n, built by :func:`_marked_rows`.
 
-    Every partition of n is decomposed at its Durfee square and every
-    nonincreasing mark assignment passing the validity rules is kept.  For
-    k=1 the plain symbols appear in partition (descending lex) order with
-    all marks 1; for k >= 2 the list is sorted by (side, top, bottom).
+    For k=1 the plain symbols appear in partition (descending lex) order
+    with all marks 1; for k >= 2 the list is sorted by (side, top, bottom).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    symbols = []
-    for p in enumerate_partitions(n):
-        plain = durfee_decompose(p)
-        for top, bottom in _markings(plain.top.parts, plain.bottom.parts, k):
-            if _marked_durfee_violation(top, bottom, plain.side, k) is None:
-                symbols.append(KMarkedDurfeeSymbol(top, bottom, plain.side, k))
-    if k > 1:
+    symbols = [KMarkedDurfeeSymbol(top, bottom, side, k)
+               for top, bottom, side in _marked_rows(n, k, strict=False)]
+    if k == 1:
+        symbols.sort(key=lambda s: _recomposed(
+            [p.value for p in s.top], [p.value for p in s.bottom], s.side), reverse=True)
+    else:
         symbols.sort(key=lambda s: (s.side, s.top, s.bottom))
     return symbols
 
 
-def _marked_unimodal_filter(n: int, k: int) -> list[KMarkedSUSymbol]:
-    symbols = []
-    for plain in _su_symbols(n):
-        for top, bottom in _markings(plain.top.parts, plain.bottom.parts, k):
-            if _marked_unimodal_violation(top, bottom, plain.peak, k) is None:
-                symbols.append(KMarkedSUSymbol(top, bottom, plain.peak, k))
-    return symbols
+def enumerate_marked_unimodal(n: int, k: int) -> list[KMarkedSUSymbol]:
+    """All valid k-marked strongly unimodal symbols of n, built by
+    :func:`_marked_rows`.
 
-
-def _marked_unimodal_constructive(n: int, k: int) -> list[KMarkedSUSymbol]:
-    """Build symbols directly from their largest-marked-part profile.
-
-    Choose M_1 < ... < M_k; the peak is M_k and M_j is forced to be the
-    largest mark-j part of the top row.  The rest of the symbol is a free
-    choice of distinct values inside the forced intervals: extra top and
-    bottom mark-j values from [M_(j-1)+1, M_j - 1], plus optionally M_j
-    itself in the bottom row (j < k), and mark-k values from
-    [M_(k-1)+1, peak-1] in both rows.
-    """
-    symbols: list[KMarkedSUSymbol] = []
-
-    def fill(big: tuple[int, ...]):
-        forced = tuple(MarkedPart(v, j) for j, v in enumerate(big[:-1], start=1))
-        lows = (1,) + tuple(v + 1 for v in big[:-1])  # M_(j-1) + 1
-        marks = range(1, k + 1)
-        # (mark, lo, hi) of the free values: k top-row pools, then k bottom-row
-        pools = ([(j, lows[j - 1], big[j - 1] - 1) for j in marks]
-                 + [(j, lows[j - 1], big[j - 1] - (j == k)) for j in marks])
-
-        def assign(i: int, remaining: int, chosen: list[tuple[MarkedPart, ...]]):
-            if i == len(pools):
-                if not remaining:
-                    # the symbol puts each row in canonical order itself
-                    top = forced + sum(chosen[:k], ())
-                    symbols.append(KMarkedSUSymbol(top, sum(chosen[k:], ()), big[-1], k))
-                return
-            mark, lo, hi = pools[i]
-            for s in range(remaining + 1):
-                for values in _parts(s, hi, lo, strict=True):
-                    chosen.append(tuple(MarkedPart(v, mark) for v in values))
-                    assign(i + 1, remaining - s, chosen)
-                    chosen.pop()
-
-        assign(0, n - sum(big), [])
-
-    for size in range(n + 1):
-        for profile in _parts(size, size, strict=True):
-            if len(profile) == k:
-                fill(profile[::-1])
-    return symbols
-
-
-def enumerate_marked_unimodal(n: int, k: int,
-                              strategy: str = "filter") -> list[KMarkedSUSymbol]:
-    """All valid k-marked strongly unimodal symbols of n.
-
-    ``strategy="filter"`` marks every plain symbol in all nonincreasing ways
-    and keeps the assignments the validator accepts; ``"constructive"``
-    builds symbols from interval choices without a validator pass.  Both
-    return the same set.  k=1 degenerates to the plain symbols (all marks 1)
-    in the plain canonical order; for k >= 2 the list is sorted by
-    (peak, top, bottom).  The smallest n with any symbol is k(k+1)/2.
+    k=1 degenerates to the plain symbols (all marks 1) in the plain
+    canonical order (peak descending, then rows ascending); for k >= 2 the
+    list is sorted by (peak, top, bottom).  The smallest n with any symbol
+    is k(k+1)/2.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if strategy not in ("filter", "constructive"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    # at k=1 each plain symbol has one marking, already in the plain order
-    if strategy == "filter" or k == 1:
-        symbols = _marked_unimodal_filter(n, k)
-    else:
-        symbols = _marked_unimodal_constructive(n, k)
-    if k > 1:
-        symbols.sort(key=lambda s: (s.peak, s.top, s.bottom))
+    symbols = [KMarkedSUSymbol(top, bottom, peak, k)
+               for top, bottom, peak in _marked_rows(n, k, strict=True)]
+    symbols.sort(key=lambda s: (s.peak if k > 1 else -s.peak, s.top, s.bottom))
     return symbols
 
 
 @lru_cache(maxsize=_CENSUS_CACHE_SIZE)
 def _marked_unimodal_census(n: int, k: int) -> Counter[RankVector]:
-    return Counter(map(unimodal_ranks, enumerate_marked_unimodal(n, k, "filter")))
+    return Counter(map(unimodal_ranks, enumerate_marked_unimodal(n, k)))
 
 
 def rank_census_marked_unimodal(n: int, k: int) -> dict[RankVector, int]:
@@ -671,25 +651,17 @@ def count_marked_durfee(ranks: RankVector, n: int, k: int) -> int:
 def count_self_conjugate(n: int, k: int) -> int:
     """Number of k-marked unimodal symbols of n whose rows are identical.
 
-    A symmetric symbol is a peak M with one row repeated twice, so only
-    peaks with n - M even contribute; the row is a distinct-part choice
-    below the peak, marked in any nonincreasing way the interval rules
-    accept (both rows carry the same marks).
+    A symmetric symbol is a peak M with one marked row repeated twice, so
+    only peaks with n - M even contribute; :func:`_marked_rows` fills the
+    unimodal top pools to half the leftover size, and every such top row is
+    also a valid bottom row.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    total = 0
-    for peak in range(1, n + 1):
-        if (n - peak) % 2:
-            continue
-        for values in _parts((n - peak) // 2, peak - 1, strict=True):
-            for marks in combinations_with_replacement(range(k, 0, -1), len(values)):
-                row = tuple(map(MarkedPart, values, marks))
-                if _marked_unimodal_violation(row, row, peak, k) is None:
-                    total += 1
-    return total
+    return len([KMarkedSUSymbol(top, bottom, peak, k) for top, bottom, peak
+                in _marked_rows(n, k, strict=True, symmetric=True)])
 
 
 def enumerate_self_conjugate_symbols(n: int) -> list[SUSymbol]:
@@ -729,6 +701,7 @@ def enumerate_complete_odd_partitions(n: int) -> list[Partition]:
     return result
 
 
+# kept off `_parts`: the psi suite's enumerative route already lists strict height tuples
 def _complete_odd_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Yield multiplicity tuples (c_0, c_1, ..., c_L) with part 2j+1 taken
     c_j >= 1 times and total n; the empty tuple covers n = 0."""
@@ -846,7 +819,8 @@ def _even_decorations(total: int, slots: int, limit: int) -> tuple[int, int]:
             return
         value = smallest
         while value < limit:
-            min_rest = sum(value + 2 * (i + 1) for i in range(slots_left - 1))
+            # the other slots take at least value+2, value+4, ... once each
+            min_rest = (slots_left - 1) * (value + slots_left)
             if value + min_rest > remaining:
                 break
             copies = 1

@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from marking_oracle import unimodal_by_filter
 from qranks import combinat, genfun
 from qranks.series import FactorSpec, TruncatedSeries, pochhammer
 from qranks.specialize import RootOfUnityVector, specialize_exact, specialize_numeric
@@ -116,13 +117,12 @@ def test_criterion_5_anchor_values():
 
 
 def test_criterion_6_dual_enumeration_strategies():
-    with criterion("6 (filter vs constructive enumeration, k<=3, n<=18)"):
+    with criterion("6 (marking filter vs profile construction, k<=3, n<=18)"):
         for k in (1, 2, 3):
             for n in range(1, 19):
-                filtered = combinat.enumerate_marked_unimodal(n, k, "filter")
-                constructed = combinat.enumerate_marked_unimodal(n, k, "constructive")
-                assert filtered == constructed, (k, n)
-                assert len(set(filtered)) == len(filtered)
+                constructed = combinat.enumerate_marked_unimodal(n, k)
+                assert constructed == unimodal_by_filter(n, k), (k, n)
+                assert len(set(constructed)) == len(constructed)
 
 
 def test_criterion_7_specialization_consistency():

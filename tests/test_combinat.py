@@ -6,6 +6,7 @@ import operator
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from marking_oracle import durfee_by_filter, self_conjugate_by_filter, unimodal_by_filter
 
 from qranks import combinat
 from qranks.combinat import (
@@ -208,6 +209,13 @@ class TestMarkedDurfee:
             for sym in enumerate_marked_durfee(n, 2):
                 assert sym.size == n
 
+    def test_matches_marking_oracle(self):
+        for n in range(1, 15):
+            for k in (1, 2, 3):
+                constructed = enumerate_marked_durfee(n, k)
+                assert constructed == durfee_by_filter(n, k), (n, k)
+                assert len(set(constructed)) == len(constructed)  # duplicate-free
+
 
 class TestMarkedUnimodal:
     def test_unique_symbol_of_three(self):
@@ -246,11 +254,10 @@ class TestMarkedUnimodal:
 
     def test_filter_and_constructive_agree(self):
         for n in range(1, 15):
-            for k in (2, 3):
-                filtered = enumerate_marked_unimodal(n, k, "filter")
-                constructed = enumerate_marked_unimodal(n, k, "constructive")
-                assert filtered == constructed
-                assert len(set(filtered)) == len(filtered)  # duplicate-free
+            for k in (1, 2, 3):
+                constructed = enumerate_marked_unimodal(n, k)
+                assert constructed == unimodal_by_filter(n, k), (n, k)
+                assert len(set(constructed)) == len(constructed)  # duplicate-free
 
     def test_sizes_reconstruct(self):
         for n in range(1, 13):
@@ -280,10 +287,6 @@ class TestMarkedUnimodal:
             top=((2, 1),), bottom=((2, 1),), peak=3, k=2)
         assert unimodal_ranks(sym) == (-1, 0)
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="strategy"):
-            enumerate_marked_unimodal(4, 2, "guess")
-
     def test_count_by_rank_vector(self):
         assert combinat.count_marked_unimodal((0, 0), 3, 2) == 1
         assert combinat.count_marked_unimodal((-1, 0), 4, 2) == 1
@@ -310,11 +313,7 @@ class TestSelfConjugate:
     def test_against_filter_enumeration(self):
         for n in range(1, 15):
             for k in (1, 2, 3):
-                direct = count_self_conjugate(n, k)
-                filtered = sum(
-                    1 for sym in enumerate_marked_unimodal(n, k, "filter")
-                    if sym.top == sym.bottom)
-                assert direct == filtered, (n, k)
+                assert count_self_conjugate(n, k) == self_conjugate_by_filter(n, k), (n, k)
 
     def test_matches_complete_odd_partitions(self):
         for n in range(1, 31):
