@@ -66,16 +66,30 @@ class Partition:
         return "+".join(str(p) for p in self.parts) if self.parts else "(empty)"
 
 
-def _parts(n: int, largest: int, smallest: int = 1,
-           strict: bool = False) -> Iterator[tuple[int, ...]]:
+def _parts(n: int, largest: int, smallest: int = 1, strict: bool = False,
+           length: int | None = None) -> Iterator[tuple[int, ...]]:
     """Weakly (with ``strict``, strictly) decreasing tuples of parts in
-    [smallest, largest] summing to n, in descending lexicographic order."""
-    if n == 0:
-        yield ()
+    [smallest, largest] summing to n, in descending lexicographic order;
+    with ``length``, only those of exactly that many parts.
+
+    The length bound prunes as the walk recurses: after a first part f the
+    other length - 1 parts must sum to at least their least possible total
+    and at most the greatest one below f, and every sum between is reached.
+    """
+    if length == 0 or n == 0:
+        if n == 0 and not length:
+            yield ()
         return
-    for first in range(min(n, largest), smallest - 1, -1):
-        for rest in _parts(n - first, first - strict, smallest, strict):
-            yield (first,) + rest
+    top = min(n, largest)
+    if length is not None:
+        rest = length - 1
+        top = min(top, n - rest * smallest - strict * rest * (rest - 1) // 2)
+    for first in range(top, smallest - 1, -1):
+        if length is not None and n - first > rest * first - strict * rest * length // 2:
+            break
+        for tail in _parts(n - first, first - strict, smallest, strict,
+                           None if length is None else length - 1):
+            yield (first,) + tail
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -539,9 +553,7 @@ def _marked_rows(n: int, k: int, strict: bool, symmetric: bool = False):
                 continue
             room //= 2
         for size in range(room + 1):
-            for below in _parts(size, last - strict, strict=strict):
-                if len(below) != k - 1:
-                    continue
+            for below in _parts(size, last - strict, strict=strict, length=k - 1):
                 profile = below[::-1] + (last,)
                 forced = tuple(map(MarkedPart, profile[:-1], marks))
                 lows = (1,) + tuple(m + strict for m in profile[:-1])

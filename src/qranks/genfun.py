@@ -1,12 +1,20 @@
 """Builders for every rank generating function, as exact truncated series.
 
-Each builder sums a multi-indexed family of Pochhammer-product terms.  The
-index region is cut off by the term's minimal q-order (the explicit q-power
-in front; every other factor has constant term 1), so terms outside the
-region vanish modulo q^(N+1) and the truncated result is exact.  Every
-multi-sum indexes its terms by the prefix sums M_1..M_k and takes them
-from one enumerator, :func:`_index_tuples`, given that order function.
-The two self-conjugate forms share the enumerator and the series ring, so
+Each multi-sum builder sums a k-fold nested family of Pochhammer-product
+terms over indices M_1 <= M_2 <= ... <= M_k (strictly increasing for the
+unimodal families).  No builder forms its terms one by one: one evaluator,
+:func:`_nested_sum`, sums from the innermost index outwards (Horner's rule
+for nested sums).  S_j(b), the sum over M_j >= b and every later index,
+follows from S_j(b+1) and from S_(j+1) at M_j = b by one step, which
+multiplies by binomials 1 + c*x^e*q^p (sparse series from
+:func:`qranks.series.pochhammer`) or by the inverse of one, and adds.  A
+builder therefore makes O(k*N) series operations, each costing about
+O(N * terms) because ``__mul__`` skips the zero coefficients of its
+operands, where a term-by-term sum makes one such product per factor of
+every term.  S_j(b) is 0 modulo q^(N+1) once its least q-power exceeds N,
+so those sums are never formed and the truncated result is exact.
+
+The two self-conjugate forms share the evaluator and the series ring, so
 they are not independent of each other; both are checked against
 :func:`qranks.combinat.count_self_conjugate`, which shares no code with
 this module.  Builders are deterministic and pure, and each one checks
@@ -23,49 +31,78 @@ here.
 from __future__ import annotations
 
 from . import combinat
-from .series import FactorSpec, TruncatedSeries, pochhammer
+from .series import FactorSpec, LaurentCoefficient, TruncatedSeries, pochhammer
 
 
 def _checked(s: TruncatedSeries) -> TruncatedSeries:
-    """Return ``s`` after checking that no rank exponent exceeds the size it
-    appears at; a violation means a builder is wrong, not its input."""
+    """Return ``s`` with each coefficient's monomials in ascending exponent
+    order, so that their order (which the numeric specializer sums in) does
+    not depend on how the series was built.
+
+    Checks first that no rank exponent exceeds the size it appears at; a
+    violation means a builder is wrong, not its input.
+    """
     for n, c in enumerate(s.coeffs):
         for exps in c.terms:
             if any(abs(e) > n for e in exps):
                 raise ArithmeticError(f"rank exponent beyond size: n={n}, exponents={exps}")
-    return s
+    return TruncatedSeries(s.truncation_order, s.var_count, [
+        LaurentCoefficient(s.var_count, {exps: c.terms[exps] for exps in sorted(c.terms)})
+        for c in s.coeffs])
 
 
-def _index_tuples(k: int, n_max: int, order, step: int):
-    """Yield every (M_1, ..., M_k) with M_1 >= 1, M_j - M_(j-1) >= step and
-    order(M) <= n_max, in lexicographic order.
+def _binomial(c: int, var: int | None, exponent: int, p: int, n_max: int,
+              var_count: int) -> TruncatedSeries:
+    """The series 1 + c * x_var^exponent * q^p (1 + c*q^p when var is None)."""
+    return pochhammer(FactorSpec(-c, var, exponent, p), 1, n_max, var_count)
 
-    ``order`` must be nondecreasing and unbounded in every M_j.  Then the
-    cheapest completion of a prefix takes each later M_j = M_(j-1) + step,
-    and once it is over budget so is every larger value at that position.
+
+def _nested_sum(k: int, n_max: int, var_count: int, gap: int, power, step) -> TruncatedSeries:
+    """S_1(1) for a k-fold nested sum, summed from its innermost index out.
+
+    S_j(b) is the sum over M_j >= b and the later indices, where
+    M_(i+1) >= M_i + gap, and S_(k+1) = 1.  ``step(j, b, head, rest)``
+    returns S_j(b) given head = q^power(j, b) * S_(j+1)(b + gap) and
+    rest = S_j(b + 1), or None where that is 0 modulo q^(N+1).
+
+    The least q-power of S_j(b) is power(j, b) plus that of
+    S_(j+1)(b + gap); it must grow with b.  Sums whose least q-power
+    exceeds n_max are never formed.
     """
-    def rec(prefix: tuple[int, ...]):
-        if len(prefix) == k:
-            yield prefix
-            return
-        value = prefix[-1] + step if prefix else 1
-        while True:
-            head = prefix + (value,)
-            tail = tuple(value + step * t for t in range(1, k - len(head) + 1))
-            if order(head + tail) > n_max:
-                return
-            yield from rec(head)
-            value += 1
-
-    yield from rec(())
-
-
-def _durfee_order(big: tuple[int, ...]) -> int:
-    return big[-1] ** 2 + sum(big[:-1])
+    one = TruncatedSeries.one(n_max, var_count)
+    inner = dict.fromkeys(range(1, n_max + 2), (0, one))  # b -> (least q-power, S_(j+1)(b))
+    for j in range(k, 0, -1):
+        level = {}
+        rest = None
+        for b in range(n_max, 0, -1):
+            if b + gap not in inner:
+                continue
+            order, tail = inner[b + gap]
+            order += power(j, b)
+            if order <= n_max:
+                monomial = TruncatedSeries.monomial(1, (0,) * var_count, power(j, b), n_max)
+                rest = step(j, b, monomial * tail, rest)
+                level[b] = order, rest
+        inner = level
+    return inner[1][1] if 1 in inner else TruncatedSeries.zero(n_max, var_count)
 
 
-def _self_conjugate_order(big: tuple[int, ...]) -> int:
-    return 2 * sum(big[:-1]) + big[-1]
+def _durfee_sum(k: int, n_max: int) -> TruncatedSeries:
+    """The sum over 1 <= M_1 <= ... <= M_k of
+
+        q^(M_k^2 + M_1 + ... + M_(k-1))
+        / prod_(j=1..k) prod_(p=M_(j-1)..M_j) (1 - x_j q^p)(1 - x_j^-1 q^p)
+
+    with M_0 = 1, by S_j(b) = (q^(b or b^2) S_(j+1)(b) + S_j(b+1)) divided
+    by (1 - x_j q^b)(1 - x_j^-1 q^b).
+    """
+    def step(j, b, head, rest):
+        total = head if rest is None else head + rest
+        for exponent in (1, -1):
+            total = _binomial(-1, j, exponent, b, n_max, k).inverse() * total
+        return total
+
+    return _nested_sum(k, n_max, k, 0, lambda j, b: b * b if j == k else b, step)
 
 
 def partition_series(n_max: int) -> TruncatedSeries:
@@ -77,17 +114,9 @@ def partition_series(n_max: int) -> TruncatedSeries:
 
 def partition_rank_series(n_max: int) -> TruncatedSeries:
     """Two-variable rank series for partitions: sum over t >= 0 of
-    q^(t^2) / ((x1 q; q)_t (x1^-1 q; q)_t), one x variable."""
-    total = TruncatedSeries.zero(n_max, 1)
-    t = 0
-    while t * t <= n_max:
-        term = TruncatedSeries.monomial(1, (0,), t * t, n_max)
-        if t:
-            term = term * pochhammer(FactorSpec(1, 1, 1, 1, 1), t, n_max, 1).inverse()
-            term = term * pochhammer(FactorSpec(1, 1, -1, 1, 1), t, n_max, 1).inverse()
-        total = total + term
-        t += 1
-    return _checked(total)
+    q^(t^2) / ((x1 q; q)_t (x1^-1 q; q)_t), one x variable.  The terms with
+    t >= 1 are the k=1 Durfee sum."""
+    return _checked(TruncatedSeries.one(n_max, 1) + _durfee_sum(1, n_max))
 
 
 def marked_durfee_rank_series(k: int, n_max: int) -> TruncatedSeries:
@@ -107,32 +136,14 @@ def marked_durfee_rank_series(k: int, n_max: int) -> TruncatedSeries:
         raise ValueError("k must be >= 1")
     if k == 1:
         return partition_rank_series(n_max)
-    total = TruncatedSeries.zero(n_max, k)
-    for big in _index_tuples(k, n_max, _durfee_order, 0):
-        term = TruncatedSeries.monomial(1, (0,) * k, _durfee_order(big), n_max)
-        term = term * pochhammer(FactorSpec(1, 1, 1, 1, 1), big[0], n_max, k).inverse()
-        term = term * pochhammer(FactorSpec(1, 1, -1, 1, 1), big[0], n_max, k).inverse()
-        for j in range(2, k + 1):
-            offset = big[j - 2]
-            length = big[j - 1] - offset + 1
-            term = term * pochhammer(
-                FactorSpec(1, j, 1, offset, 1), length, n_max, k).inverse()
-            term = term * pochhammer(
-                FactorSpec(1, j, -1, offset, 1), length, n_max, k).inverse()
-        total = total + term
-    return _checked(total)
+    return _checked(_durfee_sum(k, n_max))
 
 
 def unimodal_rank_series(n_max: int) -> TruncatedSeries:
     """Two-variable rank series for strongly unimodal sequences: sum over
-    t >= 0 of q^(t+1) (-x1 q; q)_t (-x1^-1 q; q)_t, one x variable."""
-    total = TruncatedSeries.zero(n_max, 1)
-    for t in range(n_max):
-        term = TruncatedSeries.monomial(1, (0,), t + 1, n_max)
-        term = term * pochhammer(FactorSpec(-1, 1, 1, 1, 1), t, n_max, 1)
-        term = term * pochhammer(FactorSpec(-1, 1, -1, 1, 1), t, n_max, 1)
-        total = total + term
-    return _checked(total)
+    t >= 0 of q^(t+1) (-x1 q; q)_t (-x1^-1 q; q)_t, one x variable.  This
+    is the k=1 marked unimodal sum."""
+    return marked_unimodal_rank_series(1, n_max)
 
 
 def marked_unimodal_rank_series(k: int, n_max: int) -> TruncatedSeries:
@@ -146,24 +157,23 @@ def marked_unimodal_rank_series(k: int, n_max: int) -> TruncatedSeries:
                         (-x_j^-1 q^(M_(j-1)+1); q)_(m_j - 1)
 
     with M_0 = 0 and M_j = m_1 + ... + m_j.  At k=1 the middle product is
-    empty and the sum is the plain unimodal rank series.
+    empty and the sum is the plain unimodal rank series.  Summed as
+    S_j(b) = q^b (1 + x_j^-1 q^b) S_(j+1)(b+1)
+             + (1 + x_j q^b)(1 + x_j^-1 q^b) S_j(b+1),
+    without the middle factor at j = k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    total = TruncatedSeries.zero(n_max, k)
-    for big in _index_tuples(k, n_max, sum, 1):
-        term = TruncatedSeries.monomial(1, (0,) * k, sum(big), n_max)
-        for j in range(1, k):
-            exps = tuple(-1 if i == j - 1 else 0 for i in range(k))
-            bump = TruncatedSeries.one(n_max, k) + TruncatedSeries.monomial(
-                1, exps, big[j - 1], n_max)
-            term = term * bump
-        for j, (lower, upper) in enumerate(zip((0,) + big, big), 1):
-            length = upper - lower - 1
-            term = term * pochhammer(FactorSpec(-1, j, 1, lower + 1, 1), length, n_max, k)
-            term = term * pochhammer(FactorSpec(-1, j, -1, lower + 1, 1), length, n_max, k)
-        total = total + term
-    return _checked(total)
+
+    def step(j, b, head, rest):
+        if j < k:
+            head = _binomial(1, j, -1, b, n_max, k) * head
+        if rest is None:
+            return head
+        pair = _binomial(1, j, 1, b, n_max, k) * _binomial(1, j, -1, b, n_max, k)
+        return head + pair * rest
+
+    return _checked(_nested_sum(k, n_max, k, 1, lambda j, b: b, step))
 
 
 def self_conjugate_series(k: int, n_max: int, form: str = "raw") -> TruncatedSeries:
@@ -189,51 +199,42 @@ def self_conjugate_series(k: int, n_max: int, form: str = "raw") -> TruncatedSer
         raise ValueError("k must be >= 1")
     if form not in ("raw", "simplified"):
         raise ValueError(f"unknown form {form!r}")
-    total = TruncatedSeries.zero(n_max, 0)
-    if form == "raw":
-        for big in _index_tuples(k, n_max, _self_conjugate_order, 1):
-            term = TruncatedSeries.monomial(1, (), _self_conjugate_order(big), n_max)
-            for lower, upper in zip((0,) + big, big):
-                term = term * pochhammer(
-                    FactorSpec(-1, None, 1, 2 * (lower + 1), 2), upper - lower - 1, n_max, 0)
-            total = total + term
-        return _checked(total)
 
-    # the same index region, with the inner products summed per peak M_k
-    inner_totals: dict[int, TruncatedSeries] = {}
-    for *lower, peak in _index_tuples(k, n_max, _self_conjugate_order, 1):
-        inner = TruncatedSeries.one(n_max, 0)
-        for b in lower:
-            numer = TruncatedSeries.monomial(1, (), 2 * b, n_max)
-            denom = TruncatedSeries.one(n_max, 0) + TruncatedSeries.monomial(
-                1, (), 2 * b, n_max)
-            inner = inner * numer * denom.inverse()
-        inner_totals[peak] = inner_totals[peak] + inner if peak in inner_totals else inner
-    for peak, inner_total in inner_totals.items():
-        outer = TruncatedSeries.monomial(1, (), peak, n_max)
-        outer = outer * pochhammer(FactorSpec(-1, None, 1, 2, 2), peak - 1, n_max, 0)
-        total = total + outer * inner_total
-    return _checked(total)
+    def power(j, b):
+        return b if j == k else 2 * b
+
+    def raw_step(j, b, head, rest):
+        return head if rest is None else head + _binomial(1, None, 1, 2 * b, n_max, 0) * rest
+
+    def simplified_step(j, b, head, rest):
+        if j < k:
+            head = _binomial(1, None, 1, 2 * b, n_max, 0).inverse() * head
+        else:
+            head = pochhammer(FactorSpec(-1, None, 1, 2, 2), b - 1, n_max, 0) * head
+        return head if rest is None else head + rest
+
+    step = raw_step if form == "raw" else simplified_step
+    return _checked(_nested_sum(k, n_max, 0, 1, power, step))
 
 
 def mock_theta_psi(n_max: int, form: str = "theta") -> TruncatedSeries:
     """The classical third-order mock theta function psi(q), three ways.
 
-    form="theta": sum over t >= 1 of q^(t^2) / (q; q^2)_t.
+    form="theta": sum over t >= 1 of q^(t^2) / (q; q^2)_t, summed as
+    S(b) = (q^(b^2) + S(b+1)) / (1 - q^(2b-1)).
     form="pochhammer": sum over t >= 1 of q^t (-q^2; q^2)_(t-1), which is
     the k=1 self-conjugate series.
     form="enumerative": coefficients taken from the self-conjugate symbol
     counts.  All three agree at every truncation.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if form == "theta":
-        total = TruncatedSeries.zero(n_max, 0)
-        t = 1
-        while t * t <= n_max:
-            term = TruncatedSeries.monomial(1, (), t * t, n_max)
-            term = term * pochhammer(FactorSpec(1, None, 1, 1, 2), t, n_max, 0).inverse()
-            total = total + term
-            t += 1
-        return total
+        def step(j, b, head, rest):
+            total = head if rest is None else head + rest
+            return _binomial(-1, None, 1, 2 * b - 1, n_max, 0).inverse() * total
+
+        return _nested_sum(1, n_max, 0, 0, lambda j, b: b * b, step)
     if form == "pochhammer":
         return self_conjugate_series(1, n_max, "raw")
     if form == "enumerative":

@@ -6,6 +6,15 @@ Each q-coefficient is a :class:`LaurentCoefficient`: a sparse integer
 polynomial in x_1^(+-1), ..., x_k^(+-1).  All arithmetic is exact Python
 integer arithmetic; no floating point enters this module.
 
+Every product, inverse and binomial factor goes through one monomial loop,
+:func:`_shift_add`, on a mutable accumulator: a list of exponent->int
+dicts indexed by the power of q.  :func:`_mul_binomial` multiplies such an
+accumulator in place by a binomial 1 + c*x^e*q^p in O(N * terms), and
+:func:`pochhammer` is a loop of it.  ``__mul__`` skips the zero
+coefficients of its operands, so a product with a binomial costs about as
+much as :func:`_mul_binomial`; the builders in :mod:`qranks.genfun` rely on
+that.
+
 Values are immutable after construction and all operations are pure, so
 series may be shared freely between threads.
 """
@@ -13,23 +22,50 @@ series may be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
+
+
+def _shift_add(target: dict[tuple[int, ...], int], source: dict[tuple[int, ...], int],
+               c: int, exps: tuple[int, ...]) -> None:
+    """Add c * x^exps * source into ``target`` in place, dropping sums that
+    reach 0.  An all-zero (or empty) ``exps`` adds ``source`` unshifted.
+
+    This is the only monomial loop: every product, inverse and binomial
+    factor in this module goes through it.
+    """
+    if any(exps):
+        items = [(tuple(map(add, e, exps)), v) for e, v in source.items()]
+    else:
+        items = source.items()
+    for key, v in items:
+        total = target.get(key, 0) + c * v
+        if total:
+            target[key] = total
+        else:
+            del target[key]
 
 
 def _add_product(bucket: dict[tuple[int, ...], int], terms1: dict[tuple[int, ...], int],
                  terms2: dict[tuple[int, ...], int]) -> None:
-    """Add terms1 * terms2 into ``bucket`` in place, dropping sums that reach 0.
-
-    This is the only monomial-product loop: every product and inverse in
-    this module goes through it.
-    """
+    """Add terms1 * terms2 into ``bucket`` in place."""
     for e1, v1 in terms1.items():
-        for e2, v2 in terms2.items():
-            exps = tuple(a + b for a, b in zip(e1, e2))
-            total = bucket.get(exps, 0) + v1 * v2
-            if total:
-                bucket[exps] = total
-            else:
-                bucket.pop(exps, None)
+        _shift_add(bucket, terms2, v1, e1)
+
+
+# an accumulator: one exponent->int dict per power of q, truncated at its length
+Buckets = list[dict[tuple[int, ...], int]]
+
+
+def _mul_binomial(acc: Buckets, c: int, exps: tuple[int, ...], p: int) -> None:
+    """Multiply ``acc`` in place by 1 + c*x^exps*q^p, in O(N * terms).
+
+    Walking n downward reads bucket n - p before it changes (a q^0 factor
+    reads a copy); a factor with p beyond the truncation changes nothing.
+    """
+    for n in range(len(acc) - 1, p - 1, -1):
+        source = acc[n - p]
+        if source:
+            _shift_add(acc[n], dict(source) if p == 0 else source, c, exps)
 
 
 class LaurentCoefficient:
@@ -47,13 +83,12 @@ class LaurentCoefficient:
             raise ValueError("var_count must be >= 0")
         pruned: dict[tuple[int, ...], int] = {}
         if terms:
-            for exps, value in terms.items():
-                if len(exps) != var_count:
-                    raise ValueError(
-                        f"exponent vector {exps!r} has length {len(exps)}, expected {var_count}"
-                    )
-                if value != 0:
-                    pruned[tuple(exps)] = value
+            if set(map(len, terms)) != {var_count}:
+                exps = next(e for e in terms if len(e) != var_count)
+                raise ValueError(
+                    f"exponent vector {exps!r} has length {len(exps)}, expected {var_count}"
+                )
+            pruned = {tuple(exps): value for exps, value in terms.items() if value != 0}
         object.__setattr__(self, "var_count", var_count)
         object.__setattr__(self, "terms", pruned)
 
@@ -164,7 +199,7 @@ class TruncatedSeries:
         if var_count < 0:
             raise ValueError("var_count must be >= 0")
         if coeffs is None:
-            coeffs = [LaurentCoefficient.zero(var_count) for _ in range(truncation_order + 1)]
+            coeffs = [LaurentCoefficient.zero(var_count)] * (truncation_order + 1)
         if len(coeffs) != truncation_order + 1:
             raise ValueError(
                 f"expected {truncation_order + 1} coefficients, got {len(coeffs)}"
@@ -190,7 +225,7 @@ class TruncatedSeries:
     @classmethod
     def one(cls, n_max: int, var_count: int) -> TruncatedSeries:
         coeffs = [LaurentCoefficient.constant(1, var_count)]
-        coeffs += [LaurentCoefficient.zero(var_count) for _ in range(n_max)]
+        coeffs += [LaurentCoefficient.zero(var_count)] * n_max
         return cls(n_max, var_count, coeffs)
 
     @classmethod
@@ -202,13 +237,13 @@ class TruncatedSeries:
         if q_power > n_max:
             raise ValueError(f"exponent beyond truncation: q^{q_power} with n_max={n_max}")
         var_count = len(exponents)
-        coeffs = [LaurentCoefficient.zero(var_count) for _ in range(n_max + 1)]
+        coeffs = [LaurentCoefficient.zero(var_count)] * (n_max + 1)
         coeffs[q_power] = LaurentCoefficient.monomial(value, exponents)
         return cls(n_max, var_count, coeffs)
 
     @classmethod
     def _from_buckets(cls, n_max: int, var_count: int,
-                      buckets: list[dict[tuple[int, ...], int]]) -> TruncatedSeries:
+                      buckets: Buckets) -> TruncatedSeries:
         return cls(n_max, var_count, [LaurentCoefficient(var_count, b) for b in buckets])
 
     @classmethod
@@ -244,7 +279,7 @@ class TruncatedSeries:
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check_compatible(other)
         n_max = min(self.truncation_order, other.truncation_order)
-        acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(n_max + 1)]
+        acc: Buckets = [{} for _ in range(n_max + 1)]
         nonzero = [(j, b.terms) for j, b in enumerate(other.coeffs[: n_max + 1]) if b.terms]
         for i, a in enumerate(self.coeffs[: n_max + 1]):
             if a.terms:
@@ -263,7 +298,7 @@ class TruncatedSeries:
         if not self.coeffs[0].is_one():
             raise ValueError("non-unit constant term")
         n_max = self.truncation_order
-        inv: list[dict[tuple[int, ...], int]] = [{(0,) * self.var_count: 1}]
+        inv: Buckets = [{(0,) * self.var_count: 1}]
         for n in range(1, n_max + 1):
             total: dict[tuple[int, ...], int] = {}
             for j in range(1, n + 1):
@@ -360,6 +395,8 @@ def pochhammer(spec: FactorSpec, count: int | None, n_max: int,
         raise ValueError(
             f"factor uses x{spec.var_index} but series has {var_count} variables"
         )
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if count is not None and count < 0:
         raise ValueError("count must be >= 0 or None for the infinite product")
     if count is None and spec.q_offset + spec.q_step < 1:
@@ -372,19 +409,13 @@ def pochhammer(spec: FactorSpec, count: int | None, n_max: int,
             spec.var_exponent if i == spec.var_index - 1 else 0 for i in range(var_count)
         )
 
-    # multiply each binomial 1 - a*q^p into the buckets in place; walking n
-    # downward reads bucket n - p before it changes (a q^0 factor reads a copy)
-    acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(n_max + 1)]
+    acc: Buckets = [{} for _ in range(n_max + 1)]
     acc[0][(0,) * var_count] = 1
-    minus_a = {exponents: -spec.sign}
     q_power = spec.q_offset
     j = 0
     # factors beyond q^n_max are 1 modulo q^(n_max+1)
     while q_power <= n_max and (count is None or j < count):
-        for n in range(n_max, q_power - 1, -1):
-            source = acc[n - q_power]
-            if source:
-                _add_product(acc[n], dict(source) if q_power == 0 else source, minus_a)
+        _mul_binomial(acc, -spec.sign, exponents, q_power)
         q_power += spec.q_step
         j += 1
     return TruncatedSeries._from_buckets(n_max, var_count, acc)

@@ -409,3 +409,7 @@ class TestParts:
                                     if values <= allowed and (distinct or not strict)]
                         got = list(combinat._parts(n, largest, smallest, strict))
                         assert got == expected, (n, largest, smallest, strict)
+                        for length in range(n + 2):
+                            got = list(combinat._parts(n, largest, smallest, strict, length))
+                            assert got == [p for p in expected if len(p) == length], \
+                                (n, largest, smallest, strict, length)

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+import series_oracle
 
 from qranks import combinat, genfun
 
@@ -158,6 +159,23 @@ class TestEvenPartParitySeries:
             genfun.even_part_parity_series(1, 5)
 
 
+@pytest.mark.parametrize("build", [
+    lambda n: genfun.partition_series(n),
+    lambda n: genfun.partition_rank_series(n),
+    lambda n: genfun.marked_durfee_rank_series(2, n),
+    lambda n: genfun.unimodal_rank_series(n),
+    lambda n: genfun.marked_unimodal_rank_series(2, n),
+    lambda n: genfun.self_conjugate_series(2, n, "raw"),
+    lambda n: genfun.self_conjugate_series(2, n, "simplified"),
+    lambda n: genfun.mock_theta_psi(n, "theta"),
+    lambda n: genfun.mock_theta_psi(n, "enumerative"),
+    lambda n: genfun.even_part_parity_series(2, n),
+])
+def test_negative_truncation_rejected(build):
+    with pytest.raises(ValueError):
+        build(-1)
+
+
 class TestDeterminism:
     def test_builders_are_reproducible(self):
         builders = [
@@ -173,12 +191,12 @@ class TestDeterminism:
 
 
 class TestIndexTuples:
-    """The one index enumerator against a brute-force filter of gap tuples."""
+    """The oracle's index enumerator against a brute-force filter of gap tuples."""
 
     @pytest.mark.parametrize("order,step", [
-        (genfun._durfee_order, 0),
+        (series_oracle._durfee_order, 0),
         (sum, 1),
-        (genfun._self_conjugate_order, 1),
+        (series_oracle._self_conjugate_order, 1),
     ])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_filtered_product(self, order, step, k):
@@ -190,4 +208,37 @@ class TestIndexTuples:
                   if order(big) <= top}
         for n_max in range(top + 1):
             expected = sorted(big for big in region if order(big) <= n_max)
-            assert list(genfun._index_tuples(k, n_max, order, step)) == expected
+            assert list(series_oracle._index_tuples(k, n_max, order, step)) == expected
+
+
+class TestNestedSumsAgainstTermOracle:
+    """Each builder against the old term-by-term route (tests/series_oracle.py),
+    coefficient by coefficient, at every truncation up to the bound."""
+
+    def test_partition_rank_and_unimodal(self):
+        for n in range(41):
+            assert genfun.partition_rank_series(n) == series_oracle.partition_rank_series(n)
+            assert genfun.unimodal_rank_series(n) == series_oracle.unimodal_rank_series(n)
+
+    def test_marked_unimodal(self):
+        for k in (1, 2, 3):
+            for n in range(19):
+                assert genfun.marked_unimodal_rank_series(k, n) == \
+                    series_oracle.marked_unimodal_rank_series(k, n), (k, n)
+
+    def test_marked_durfee(self):
+        for k in (1, 2, 3):
+            for n in range(15):
+                assert genfun.marked_durfee_rank_series(k, n) == \
+                    series_oracle.marked_durfee_rank_series(k, n), (k, n)
+
+    @pytest.mark.parametrize("form", ["raw", "simplified"])
+    def test_self_conjugate(self, form):
+        for k in (1, 2, 3):
+            for n in range(31):
+                assert genfun.self_conjugate_series(k, n, form) == \
+                    series_oracle.self_conjugate_series(k, n, form), (k, n)
+
+    def test_psi_theta(self):
+        for n in range(51):
+            assert genfun.mock_theta_psi(n, "theta") == series_oracle.mock_theta_psi_theta(n)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qranks import series
 from qranks.series import FactorSpec, LaurentCoefficient, TruncatedSeries, pochhammer
 
 
@@ -48,6 +49,11 @@ class TestConstruction:
     def test_zero_terms_never_stored(self):
         c = LaurentCoefficient(1, {(0,): 0, (1,): 3})
         assert c.terms == {(1,): 3}
+
+    def test_exponent_length_checked(self):
+        # the first exponent vector of the wrong length is named, zero value or not
+        with pytest.raises(ValueError, match=r"\(1,\) has length 1, expected 2"):
+            LaurentCoefficient(2, {(0, 1): 1, (1,): 0, (1, 2, 3): 4})
 
 
 class TestArithmetic:
@@ -129,6 +135,10 @@ class TestPochhammer:
     def test_q_ascending_two_factors(self):
         spec = FactorSpec(1, None, 1, 1, 1)
         assert pochhammer(spec, 2, 3, 0).integer_coefficients() == [1, -1, -1, 1]
+
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(ValueError, match="n_max"):
+            pochhammer(FactorSpec(1, None, 1, 1, 1), 2, -1, 0)
 
     def test_with_variable(self):
         spec = FactorSpec(-1, 1, 1, 1, 1)
@@ -317,3 +327,46 @@ def test_pochhammer_matches_product_of_factors(var_count, sign, var, exp, offset
     assert pochhammer(spec, count, n_max, var_count) == product_of_factors(
         spec, count, n_max, var_count)
 
+
+# ----------------------------------------------------------------------
+# the in-place binomial kernel against the naive route: the binomial as a
+# TruncatedSeries, then __mul__
+# ----------------------------------------------------------------------
+
+
+def naive_binomial(c, exps, p, n_max):
+    """1 + c*x^exps*q^p as a series; just 1 when q^p is beyond n_max."""
+    one = TruncatedSeries.one(n_max, len(exps))
+    return one + TruncatedSeries.monomial(c, exps, p, n_max) if p <= n_max else one
+
+
+@st.composite
+def kernel_case(draw):
+    k = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 10))
+    s = draw(small_series(var_count=k, n_max=n))
+    c = draw(st.sampled_from([1, -1]))
+    exps = tuple(draw(st.integers(-1, 1)) for _ in range(k))
+    # below, at and above the truncation
+    p = draw(st.one_of(st.integers(0, n + 2), st.just(n), st.just(n + 1)))
+    return s, c, exps, p
+
+
+def run_kernel(kernel, s, c, exps, p):
+    acc = [dict(coeff.terms) for coeff in s.coeffs]
+    kernel(acc, c, exps, p)
+    return TruncatedSeries._from_buckets(s.truncation_order, s.var_count, acc)
+
+
+@given(kernel_case())
+@settings(max_examples=300, deadline=None)
+# p = 0 factors read a copy of the bucket they change, with and without x
+@example((TruncatedSeries.one(4, 1) + TruncatedSeries.monomial(2, (1,), 3, 4), 1, (1,), 0))
+@example((TruncatedSeries.one(4, 2) + TruncatedSeries.monomial(3, (0, 1), 2, 4), 1,
+          (0, 0), 0))
+@example((TruncatedSeries.one(3, 2), -1, (0, 0), 0))
+@example((TruncatedSeries.one(5, 3), -1, (-1, 0, 1), 5))
+def test_mul_binomial_matches_naive(case):
+    s, c, exps, p = case
+    assert run_kernel(series._mul_binomial, s, c, exps, p) == s * naive_binomial(
+        c, exps, p, s.truncation_order)
