@@ -1,11 +1,12 @@
 """The command-line surface: formats, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from qranks import cli, combinat
+from qranks import cli, combinat, genfun
 
 
 def run(capsys, *argv):
@@ -259,6 +260,32 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("patches,argv,fails", [
+        ({"durfee_recompose": lambda d: None}, "bijections --n-max 2",
+         ["bijection=durfee n=1: partition 1", "bijection=durfee n=2: partition 2"]),
+        ({"odd_parts_to_self_conjugate": lambda p: p}, "bijections --n-max 2",
+         ["bijection=self-conjugate n=1: symbol ((empty) ; (empty))_1",
+          "bijection=self-conjugate n=2: symbol ((empty) ; (empty))_2"]),
+        # the odd-part direction, checked once the symbol direction holds
+        ({"enumerate_self_conjugate_symbols": lambda n: [],
+          "self_conjugate_to_odd_parts": lambda p: p}, "bijections --n-max 2",
+         ["bijection=self-conjugate n=1: partition 1",
+          "bijection=self-conjugate n=2: partition 1+1"]),
+        ({"count_self_conjugate": lambda n, k: 7}, "thm-1-5 --n-max 2 --k-max 2",
+         ["k=2 n=1: self-conjugate count=7; raw series=0; simplified series=0; "
+          "signed parity difference=0",
+          "k=2 n=2: self-conjugate count=7; raw series=0; simplified series=0; "
+          "signed parity difference=0"]),
+    ])
+    def test_mismatch_details(self, capsys, monkeypatch, patches, argv, fails):
+        for name, replacement in patches.items():
+            monkeypatch.setattr(combinat, name, replacement)
+        code, out, _ = run(capsys, "verify", "--suite", *argv.split())
+        assert code == 1
+        suite = argv.split()[0]
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+            f"FAIL suite={suite} {fail}" for fail in fails]
+
     def test_budget_refusal(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "thm-1-2", "--n-max", "80",
                            "--k-max", "3")
@@ -270,3 +297,168 @@ class TestVerifyCommand:
                            "--k-max", "2")
         assert code == 0
         assert "0 failed" in out.splitlines()[-1]
+
+
+# (argv, stderr) of usage errors and budget refusals, recorded before the
+# subcommands were rebuilt around one table each.  The order of the checks is
+# part of the contract: the budget check runs before --n and --k are checked,
+# --n before --k, --k before --form, and --form before --n-max.
+USAGE_ERRORS = [
+    ('series --function uk --n-max 3',
+     'error: --function uk requires --k'),
+    ('series --function psi --n-max 3 --k 2 --form raw',
+     'error: --function psi does not take --k'),
+    ('series --function partition --n-max 3 --form raw',
+     'error: --function partition does not take --form'),
+    ('series --function scuk --k 2 --n-max 3 --form bogus',
+     "error: --form for scuk must be one of ('raw', 'simplified')"),
+    ('series --function psi --n-max 3 --form raw',
+     "error: --form for psi must be one of ('theta', 'pochhammer', 'enumerative')"),
+    ('series --function scuk --k 2 --n-max -1 --form bogus',
+     "error: --form for scuk must be one of ('raw', 'simplified')"),
+    ('series --function omega-eps --k 1 --n-max 5',
+     'error: defined for k >= 2 only'),
+    ('series --function rk --k 0 --n-max 3',
+     'error: k must be >= 1'),
+    ('series --function r1 --n-max -1',
+     'error: --n-max must be >= 0'),
+    ('series --function partition --n-max 4 --specialize 1/2',
+     'error: --function partition has no x variables'),
+    ('series --function uk --k 2 --n-max 4 --specialize 1/2',
+     'error: --specialize needs 2 angles, got 1'),
+    ('series --function u1 --n-max 4 --specialize x',
+     "error: bad angle list: Invalid literal for Fraction: 'x'"),
+    ('series --function u1 --n-max 4 --specialize 1/0',
+     'error: bad angle list: Fraction(1, 0)'),
+    ('enumerate --object partition --n 600 --k 2',
+     'error: estimated inf objects exceeds budget 100000000; raise --budget to force'),
+    ('enumerate --object su-seq --n 0 --k 2',
+     'error: --n must be >= 1 for this object'),
+    ('enumerate --object kdurfee --n 0 --k 2 --budget 0',
+     'error: --n must be >= 1 for this object'),
+    ('enumerate --object partition --n -1',
+     'error: --n must be >= 0 for partitions'),
+    ('enumerate --object partition --n 3 --k 1',
+     'error: --object partition does not take --k'),
+    ('enumerate --object su-seq --n 3 --k 1',
+     'error: --object su-seq does not take --k'),
+    ('enumerate --object ksu --n 4',
+     'error: --object ksu requires --k >= 1'),
+    ('enumerate --object kdurfee --n 4 --k 0',
+     'error: --object kdurfee requires --k >= 1'),
+    ('enumerate --object ksu --n 200 --k 3',
+     'error: estimated 3.67e+17 objects exceeds budget 100000000; raise --budget to force'),
+    ('enumerate --object kdurfee --n 30 --k 4',
+     'error: estimated 1.67e+11 objects exceeds budget 100000000; raise --budget to force'),
+    ('enumerate --object partition --n 5 --budget 6',
+     'error: estimated 7 objects exceeds budget 6; raise --budget to force'),
+    ('enumerate --object su-seq --n 20 --k -1 --budget 10',
+     'error: estimated 751 objects exceeds budget 10; raise --budget to force'),
+    ('verify --suite psi --n-max -1',
+     'error: --n-max must be >= 0'),
+    ('verify --suite thm-1-2 --k-max 0',
+     'error: --suite thm-1-2 requires --k-max >= 1'),
+    ('verify --suite all --n-max -1 --k-max 0',
+     'error: --n-max must be >= 0'),
+    ('verify --suite thm-1-5 --n-max 3 --k-max 0',
+     'error: --suite thm-1-5 requires --k-max >= 1'),
+    ('verify --suite thm-1-2 --n-max 80 --k-max 3',
+     'error: estimated 1.37e+12 objects exceeds budget 100000000; raise --budget to force'),
+    ('verify --suite thm-1-2 --n-max 500 --k-max 3',
+     'error: estimated 2.74e+28 objects exceeds budget 100000000; raise --budget to force'),
+    ('verify --suite thm-1-1 --n-max 40',
+     'error: estimated 2.92e+08 objects exceeds budget 100000000; raise --budget to force'),
+    ('verify --suite all --n-max 400',
+     'error: estimated 5.99e+25 objects exceeds budget 100000000; raise --budget to force'),
+    ('verify --suite psi --n-max 501',
+     'error: estimated inf objects exceeds budget 100000000; raise --budget to force'),
+    ('verify --suite psi --n-max 0 --budget 0',
+     'error: estimated 1 objects exceeds budget 0; raise --budget to force'),
+    ('verify --suite bijections --n-max 5 --budget 0',
+     'error: estimated 34 objects exceeds budget 0; raise --budget to force'),
+    ('verify --suite thm-1-5 --n-max 30 --k-max 3 --budget 10',
+     'error: estimated 1.59e+04 objects exceeds budget 10; raise --budget to force'),
+    ('verify --suite all --budget 1000',
+     'error: estimated 4.94e+06 objects exceeds budget 1000; raise --budget to force'),
+]
+
+
+@pytest.mark.parametrize("argv,err", USAGE_ERRORS)
+def test_usage_errors_and_refusals(capsys, argv, err):
+    assert run(capsys, *argv.split()) == (2, "", err + "\n")
+
+
+def test_parser_choices_and_help():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def option(command, flag):
+        return next(a for a in sub.choices[command]._actions if flag in a.option_strings)
+
+    assert option("series", "--function").choices == [
+        "partition", "r1", "rk", "u1", "uk", "scuk", "psi", "omega-eps"]
+    assert option("enumerate", "--object").choices == [
+        "partition", "su-seq", "kdurfee", "ksu"]
+    assert option("verify", "--suite").choices == [
+        "thm-1-2", "thm-1-1", "thm-1-5", "psi", "bijections", "all"]
+    assert option("series", "--k").help == "mark count (rk/uk/scuk/omega-eps)"
+    assert option("series", "--form").help == (
+        "scuk: raw|simplified; psi: theta|pochhammer|enumerative")
+
+
+# SHA-256 of `qranks verify` and `qranks series --specialize` output (1/4,1/2
+# takes the exact path, 1/3,1/5 the numeric one), recorded before the
+# subcommands were rebuilt around one table each.
+GOLDEN_OUTPUT = [
+    ('verify --suite all --n-max 8 --k-max 2',
+     'f888377e8b205ee0dbb5c7f8fe7bed663c732a12d23dc8b62d458a703182a6ea'),
+    ('verify --suite all --n-max 8 --k-max 2 --format json',
+     '144b47bdc39ada1512f03804c527a99a2e2be6e2488dff4959d78e94166bf0f0'),
+    ('series --function uk --k 2 --n-max 10 --specialize 1/4,1/2',
+     '413f2a4f14199363cda73b54cbf8c747a3cfb9978a1b1aeaf85a47367f0c877f'),
+    ('series --function uk --k 2 --n-max 10 --specialize 1/4,1/2 --format csv',
+     '3f6e906e348f5ba314beaa4f41280532919b08669abf8efc83b84a958fb246df'),
+    ('series --function uk --k 2 --n-max 10 --specialize 1/3,1/5',
+     '03e0de044cd8869dd8c0705953202b6fb38eeb8b6968bab14eeb487c9dcff0ad'),
+    ('series --function uk --k 2 --n-max 10 --specialize 1/3,1/5 --format csv',
+     'add6b23dcce822e21bb53a261851983d1d6e338fb60ad815358188f45d04ae72'),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_OUTPUT)
+def test_verify_and_specialize_golden(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("module,name,argv", [
+    (genfun, "marked_unimodal_rank_series", "series --function uk --k 2 --n-max 4"),
+    (genfun, "mock_theta_psi", "verify --suite psi --n-max 3"),
+    (combinat, "rank_census_marked_durfee", "verify --suite thm-1-1 --n-max 3 --k-max 1"),
+    (combinat, "enumerate_marked_unimodal", "enumerate --object ksu --n 4 --k 2"),
+])
+def test_tables_look_functions_up_at_call_time(capsys, monkeypatch, module, name, argv):
+    # wrappers installed on module attributes after import (the benchmark's
+    # spans do this) must see the calls the CLI makes
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    code, _, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert calls
+
+
+def test_budget_counts_match_enumerations():
+    n_max = 14
+    assert cli._partition_count_list(n_max) == [
+        sum(1 for _ in combinat.enumerate_partitions(n)) for n in range(n_max + 1)]
+    assert cli._su_symbol_counts(n_max) == [0] + [
+        sum(1 for _ in combinat.enumerate_su_sequences(n)) for n in range(1, n_max + 1)]
+    assert cli._symmetric_symbol_counts(n_max) == [0] + [
+        len(combinat.enumerate_self_conjugate_symbols(n)) for n in range(1, n_max + 1)]
