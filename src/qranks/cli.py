@@ -349,9 +349,14 @@ def _cell_sum(obj: str, n_max: int, k_max: int) -> int:
 
 
 def _thm15_estimate(n_max: int, k_max: int) -> int:
+    """Symmetric marked symbols, plus the configurations that
+    `combinat.count_even_part_parity` walks for each k: each is one partition
+    of its size (its odd parts and its even decoration), so partitions bound
+    them."""
     counts = _symmetric_symbol_counts(n_max)
-    return sum(c * _markings(n, k)
-               for k in range(2, k_max + 1) for n, c in enumerate(counts))
+    return (sum(c * _markings(n, k)
+                for k in range(2, k_max + 1) for n, c in enumerate(counts))
+            + (k_max - 1) * sum(_partition_count_list(n_max)[1:]))
 
 
 # suite: (cells(n_max, k_max), default n_max, default k_max,

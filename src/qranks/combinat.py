@@ -15,7 +15,8 @@ largest-marked-part profile, and one pool filler, :func:`_marked_rows`,
 assigns every mark: it builds the marked symbols of both families (and the
 symmetric unimodal ones) from their profiles, without listing a marking the
 rules reject.  Each family keeps its own validator, which its frozen class
-runs on every symbol built.
+runs on every symbol built, counted ones included.  Nothing is cached: each
+``rank_census_*`` and ``count_*`` tallies its listing when called.
 None of this is shared with :mod:`qranks.genfun`, whose index enumerator is
 the other side of every verified identity.
 """
@@ -24,14 +25,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 RankVector = tuple[int, ...]
-
-# entries per census cache; `verify` asks for each (n, k) once, so the cache
-# serves the repeated point queries of the count_* functions
-_CENSUS_CACHE_SIZE = 128
 
 
 # ----------------------------------------------------------------------
@@ -107,25 +103,21 @@ def dyson_rank(p: Partition) -> int:
     return p.parts[0] - len(p.parts)
 
 
-@lru_cache(maxsize=_CENSUS_CACHE_SIZE)
-def _partition_rank_census(n: int) -> Counter[int]:
-    return Counter(map(dyson_rank, enumerate_partitions(n)))
-
-
 def rank_census_partitions(n: int) -> dict[int, int]:
     """Map rank -> number of partitions of n with that rank (n >= 1)."""
     if n < 1:
         raise ValueError("census defined for n >= 1; use count_partitions_by_rank for n=0")
-    return dict(_partition_rank_census(n))
+    return dict(Counter(map(dyson_rank, enumerate_partitions(n))))
 
 
 def count_partitions_by_rank(m: int, n: int) -> int:
-    """Number of partitions of n with rank m; at n=0 the count is 1 iff m=0."""
+    """Number of partitions of n with rank m; at n=0 the count is 1 iff m=0.
+    Recounts :func:`rank_census_partitions` each call; for many m, read it once."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 1 if m == 0 else 0
-    return _partition_rank_census(n).get(m, 0)
+    return rank_census_partitions(n).get(m, 0)
 
 
 # ----------------------------------------------------------------------
@@ -299,26 +291,23 @@ def su_rank(seq: SUSequence) -> int:
     return (len(seq.parts) - 1 - i) - i
 
 
-@lru_cache(maxsize=_CENSUS_CACHE_SIZE)
-def _unimodal_rank_census(n: int) -> Counter[int]:
-    return Counter(map(su_rank, enumerate_su_sequences(n)))
-
-
 def rank_census_unimodal(n: int) -> dict[int, int]:
     """Map rank -> number of strongly unimodal sequences of size n."""
-    return dict(_unimodal_rank_census(n))
+    return dict(Counter(map(su_rank, enumerate_su_sequences(n))))
 
 
 def count_unimodal_by_rank(m: int, n: int) -> int:
+    """Recounts :func:`rank_census_unimodal` each call; for many m, read it once."""
     if n < 1:
         return 0
-    return _unimodal_rank_census(n).get(m, 0)
+    return rank_census_unimodal(n).get(m, 0)
 
 
 def count_unimodal_total(n: int) -> int:
+    """Recounts :func:`rank_census_unimodal` each call."""
     if n < 1:
         return 0
-    return sum(_unimodal_rank_census(n).values())
+    return sum(rank_census_unimodal(n).values())
 
 
 # ----------------------------------------------------------------------
@@ -619,40 +608,32 @@ def enumerate_marked_unimodal(n: int, k: int) -> list[KMarkedSUSymbol]:
     return symbols
 
 
-@lru_cache(maxsize=_CENSUS_CACHE_SIZE)
-def _marked_unimodal_census(n: int, k: int) -> Counter[RankVector]:
-    return Counter(map(unimodal_ranks, enumerate_marked_unimodal(n, k)))
-
-
 def rank_census_marked_unimodal(n: int, k: int) -> dict[RankVector, int]:
     """Map rank vector -> number of k-marked unimodal symbols of n."""
-    return dict(_marked_unimodal_census(n, k))
+    return dict(Counter(map(unimodal_ranks, enumerate_marked_unimodal(n, k))))
 
 
 def count_marked_unimodal(ranks: RankVector, n: int, k: int) -> int:
+    """Recounts :func:`rank_census_marked_unimodal` each call; for many ranks, read it once."""
     if len(ranks) != k:
         raise ValueError(f"rank vector {ranks!r} has length {len(ranks)}, expected {k}")
     if n < 1:
         return 0
-    return _marked_unimodal_census(n, k).get(tuple(ranks), 0)
-
-
-@lru_cache(maxsize=_CENSUS_CACHE_SIZE)
-def _marked_durfee_census(n: int, k: int) -> Counter[RankVector]:
-    return Counter(map(durfee_ranks, enumerate_marked_durfee(n, k)))
+    return rank_census_marked_unimodal(n, k).get(tuple(ranks), 0)
 
 
 def rank_census_marked_durfee(n: int, k: int) -> dict[RankVector, int]:
     """Map rank vector -> number of k-marked Durfee symbols of n."""
-    return dict(_marked_durfee_census(n, k))
+    return dict(Counter(map(durfee_ranks, enumerate_marked_durfee(n, k))))
 
 
 def count_marked_durfee(ranks: RankVector, n: int, k: int) -> int:
+    """Recounts :func:`rank_census_marked_durfee` each call; for many ranks, read it once."""
     if len(ranks) != k:
         raise ValueError(f"rank vector {ranks!r} has length {len(ranks)}, expected {k}")
     if n < 1:
         return 0
-    return _marked_durfee_census(n, k).get(tuple(ranks), 0)
+    return rank_census_marked_durfee(n, k).get(tuple(ranks), 0)
 
 
 # ----------------------------------------------------------------------
@@ -672,8 +653,9 @@ def count_self_conjugate(n: int, k: int) -> int:
         raise ValueError("n must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return len([KMarkedSUSymbol(top, bottom, peak, k) for top, bottom, peak
-                in _marked_rows(n, k, strict=True, symmetric=True)])
+    symbols = (KMarkedSUSymbol(top, bottom, peak, k) for top, bottom, peak
+               in _marked_rows(n, k, strict=True, symmetric=True))
+    return sum(1 for _ in symbols)
 
 
 def enumerate_self_conjugate_symbols(n: int) -> list[SUSymbol]:
@@ -701,44 +683,36 @@ def count_complete_odd_partitions(n: int) -> int:
 
 
 def enumerate_complete_odd_partitions(n: int) -> list[Partition]:
-    """The partitions behind :func:`count_complete_odd_partitions`, largest
-    first."""
-    result = []
-    for mults in _complete_odd_partitions(n):
-        parts: list[int] = []
-        for j in range(len(mults) - 1, -1, -1):
-            parts.extend([2 * j + 1] * mults[j])
-        result.append(Partition(tuple(parts)))
-    result.sort(key=lambda p: p.parts, reverse=True)
-    return result
+    """The partitions behind :func:`count_complete_odd_partitions`, in
+    descending lexicographic order."""
+    return [Partition(parts) for parts in _complete_odd_partitions(n)]
 
 
 # kept off `_parts`: the psi suite's enumerative route already lists strict height tuples
 def _complete_odd_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield multiplicity tuples (c_0, c_1, ..., c_L) with part 2j+1 taken
-    c_j >= 1 times and total n; the empty tuple covers n = 0."""
+    """Yield the parts of every complete odd partition of n in descending
+    lexicographic order: largest value first, then the most copies of each
+    value first.  The empty tuple covers n = 0."""
     if n == 0:
         yield ()
         return
 
     def rec(j: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        # choose c_j for value 2j+1; values 1, 3, .., 2j-1 still need >= 1
-        # copy each, which costs at least j*j
-        if j < 0:
-            if remaining == 0:
-                yield ()
+        # take value 2j+1 count times; values 1, 3, .., 2j-1 still need one
+        # copy each, which costs j*j, so the 1s take exactly what is left
+        if j == 0:
+            yield (1,) * remaining
             return
         value = 2 * j + 1
-        count = 1
-        while value * count + j * j <= remaining:
+        for count in range((remaining - j * j) // value, 0, -1):
             for rest in rec(j - 1, remaining - value * count):
-                yield rest + (count,)
-            count += 1
+                yield (value,) * count + rest
 
-    largest_index = 0
-    while (largest_index + 1) ** 2 <= n:  # 1 + 3 + ... + (2L+1) = (L+1)^2
-        yield from rec(largest_index, n)
-        largest_index += 1
+    values = 0  # most distinct odd values in n: 1 + 3 + ... + (2v-1) = v^2
+    while (values + 1) ** 2 <= n:
+        values += 1
+    for j in range(values - 1, -1, -1):
+        yield from rec(j, n)
 
 
 def self_conjugate_to_odd_parts(sym: SUSymbol) -> Partition:
@@ -800,22 +774,15 @@ def count_even_part_parity(n: int, k: int) -> tuple[int, int]:
         raise ValueError("n must be >= 0")
     odd_total = 0
     even_total = 0
-    for mults in _complete_odd_partitions_up_to(n):
-        odd_parts = sum(mults)
-        if odd_parts < k:
-            continue
-        odd_sum = sum(c * (2 * j + 1) for j, c in enumerate(mults))
-        remaining = n - odd_sum
-        limit = 2 * odd_parts  # even parts must be strictly below this
-        with_odd, with_even = _even_decorations(remaining, k - 1, limit)
-        odd_total += with_odd
-        even_total += with_even
+    for odd_sum in range(n + 1):
+        for parts in _complete_odd_partitions(odd_sum):
+            if len(parts) < k:
+                continue
+            limit = 2 * len(parts)  # even parts must be strictly below this
+            with_odd, with_even = _even_decorations(n - odd_sum, k - 1, limit)
+            odd_total += with_odd
+            even_total += with_even
     return odd_total, even_total
-
-
-def _complete_odd_partitions_up_to(n: int) -> Iterator[tuple[int, ...]]:
-    for total in range(n + 1):
-        yield from _complete_odd_partitions(total)
 
 
 def _even_decorations(total: int, slots: int, limit: int) -> tuple[int, int]:

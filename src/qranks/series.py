@@ -30,8 +30,8 @@ def _shift_add(target: dict[tuple[int, ...], int], source: dict[tuple[int, ...],
     """Add c * x^exps * source into ``target`` in place, dropping sums that
     reach 0.  An all-zero (or empty) ``exps`` adds ``source`` unshifted.
 
-    This is the only monomial loop: every product, inverse and binomial
-    factor in this module goes through it.
+    This is the only monomial loop: every sum, product, inverse and
+    binomial factor in this module goes through it.
     """
     if any(exps):
         items = [(tuple(map(add, e, exps)), v) for e, v in source.items()]
@@ -130,12 +130,7 @@ class LaurentCoefficient:
     def __add__(self, other: LaurentCoefficient) -> LaurentCoefficient:
         self._check_compatible(other)
         merged = dict(self.terms)
-        for exps, value in other.terms.items():
-            total = merged.get(exps, 0) + value
-            if total == 0:
-                merged.pop(exps, None)
-            else:
-                merged[exps] = total
+        _shift_add(merged, other.terms, 1, ())
         return LaurentCoefficient(self.var_count, merged)
 
     def __neg__(self) -> LaurentCoefficient:

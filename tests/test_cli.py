@@ -377,9 +377,11 @@ USAGE_ERRORS = [
     ('verify --suite bijections --n-max 5 --budget 0',
      'error: estimated 34 objects exceeds budget 0; raise --budget to force'),
     ('verify --suite thm-1-5 --n-max 30 --k-max 3 --budget 10',
-     'error: estimated 1.59e+04 objects exceeds budget 10; raise --budget to force'),
+     'error: estimated 7.31e+04 objects exceeds budget 10; raise --budget to force'),
+    ('verify --suite thm-1-5 --n-max 80',
+     'error: estimated 2.5e+08 objects exceeds budget 100000000; raise --budget to force'),
     ('verify --suite all --budget 1000',
-     'error: estimated 4.94e+06 objects exceeds budget 1000; raise --budget to force'),
+     'error: estimated 5e+06 objects exceeds budget 1000; raise --budget to force'),
 ]
 
 

@@ -379,6 +379,12 @@ class TestSelfConjugateBijection:
         assert count_complete_odd_partitions(4) == 2  # 3+1 and 1+1+1+1
         assert count_complete_odd_partitions(7) == 3
 
+    def test_complete_odd_partitions_filter_all_partitions_in_order(self):
+        for n in range(31):
+            expected = [p for p in enumerate_partitions(n)
+                        if set(p.parts) == set(range(1, max(p.parts, default=0) + 1, 2))]
+            assert enumerate_complete_odd_partitions(n) == expected, n
+
 
 def _decreasing_compositions(n):
     """Weakly decreasing compositions of n, read off every set of cut points

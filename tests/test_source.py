@@ -20,5 +20,23 @@ def test_invariants_survive_optimized_mode(path):
     assert not found, f"{path.name}: {found}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_state_between_calls(path):
+    """No module memoizes: `functools.lru_cache` and `functools.cache` are
+    neither imported nor applied, so every call recomputes its answer."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    cached = {"lru_cache", "cache"}
+    module_names = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import)
+                    for alias in node.names if alias.name == "functools"}
+    found = [f"line {node.lineno}: {ast.unparse(node)}"
+             for node in ast.walk(tree)
+             if (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                 and any(alias.name in cached for alias in node.names))
+             or (isinstance(node, ast.Attribute) and node.attr in cached
+                 and isinstance(node.value, ast.Name) and node.value.id in module_names)]
+    assert not found, f"{path.name}: {found}"
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"series.py", "genfun.py", "combinat.py"}
