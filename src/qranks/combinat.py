@@ -11,14 +11,18 @@ canonical order so they can serve as oracles for the generating functions in
 :mod:`qranks.genfun`.  Everything is exact integer combinatorics.
 
 One parts enumerator, :func:`_parts`, lists every row, partition and
-largest-marked-part profile, and one pool filler, :func:`_marked_rows`,
-assigns every mark: it builds the marked symbols of both families (and the
-symmetric unimodal ones) from their profiles, without listing a marking the
-rules reject.  Each family keeps its own validator, which its frozen class
-runs on every symbol built, counted ones included.  Nothing is cached: each
-``rank_census_*`` and ``count_*`` tallies its listing when called.
-None of this is shared with :mod:`qranks.genfun`, whose index enumerator is
-the other side of every verified identity.
+largest-marked-part profile, and one profile walk, :func:`_profiles`, sets
+the (mark, lo, hi) pools of every marked symbol.  One pool filler,
+:func:`_marked_rows`, assigns every mark: it builds the marked symbols of
+both families (and the symmetric unimodal ones) from those pools, without
+listing a marking the rules reject.  Each family keeps its own validator,
+which its frozen class runs on every symbol built.  The two
+``rank_census_marked_*`` build no symbol: :func:`_marked_census` walks the
+same pools and counts their free parts by size and rank.  Nothing is
+cached: every census and ``count_*`` recounts when called, and the other
+ones tally their listing.  None of this is shared with
+:mod:`qranks.genfun`, whose index enumerator is the other side of every
+verified identity.
 """
 
 from __future__ import annotations
@@ -515,22 +519,23 @@ def unimodal_ranks(sym: KMarkedSUSymbol) -> RankVector:
     return _ranks_from_rows(sym.top, sym.bottom, sym.k)
 
 
-def _marked_rows(n: int, k: int, strict: bool, symmetric: bool = False):
-    """Yield (top, bottom, M_k) for every k-marked symbol of size n; the only
-    code that assigns marks.
+def _profiles(n: int, k: int, strict: bool, symmetric: bool = False):
+    """Yield (profile, pools, budget) for every largest-marked-part profile
+    of a k-marked symbol of size n.
 
     A symbol is fixed by its profile M_1..M_k, where M_j (j < k) is the
     largest mark-j part of the top row and M_k is the Durfee side or the
-    peak, plus free parts that :func:`_parts` takes from (mark, lo, hi)
-    pools set by the profile.  Durfee symbols (weak) have
-    M_1 <= ... <= M_(k-1) <= side, cost side^2 plus their parts, and both
-    rows draw mark j from [M_(j-1), M_j] (M_0 = 1).  Unimodal symbols
-    (``strict``) have M_1 < ... < M_k = peak; the top row draws mark j from
-    [M_(j-1)+1, M_j-1] and the bottom row from [M_(j-1)+1, M_j], or
-    [M_(k-1)+1, peak-1] for mark k (M_0 = 0).  ``symmetric`` fills the
-    unimodal top pools only, at half the leftover size, and repeats the top
-    row below.  The ordering rules put every symbol in exactly one profile
-    and filling; the caller's frozen class still validates each one.
+    peak, plus free parts taken from (mark, lo, hi) pools set by the
+    profile: the k top-row pools, then the k bottom-row pools.  Durfee
+    symbols (weak) have M_1 <= ... <= M_(k-1) <= side, cost side^2 plus
+    their parts, and both rows draw mark j from [M_(j-1), M_j] (M_0 = 1).
+    Unimodal symbols (``strict``) have M_1 < ... < M_k = peak; the top row
+    draws mark j from [M_(j-1)+1, M_j-1] and the bottom row from
+    [M_(j-1)+1, M_j], or [M_(k-1)+1, peak-1] for mark k (M_0 = 0).
+    ``symmetric`` keeps the unimodal top pools only, at half the leftover
+    size, for symbols whose bottom row repeats the top row.  The budget is
+    what the free parts must add up to; the ordering rules put every symbol
+    in exactly one profile and filling.
     """
     marks = range(1, k + 1)
     for last in range(1, n + 1):
@@ -544,29 +549,97 @@ def _marked_rows(n: int, k: int, strict: bool, symmetric: bool = False):
         for size in range(room + 1):
             for below in _parts(size, last - strict, strict=strict, length=k - 1):
                 profile = below[::-1] + (last,)
-                forced = tuple(map(MarkedPart, profile[:-1], marks))
                 lows = (1,) + tuple(m + strict for m in profile[:-1])
                 pools = [(j, lo, hi - strict) for j, lo, hi in zip(marks, lows, profile)]
                 if not symmetric:
                     pools += [(j, lo, hi - (strict and j == k))
                               for j, lo, hi in zip(marks, lows, profile)]
-                # list every pool but the last once, pruned to the budget;
-                # the last pool takes exactly what is left
-                *head, (mark, lo, hi) = pools
-                budget = room - size
-                partial = [((), budget)]
-                for j, lo_j, hi_j in head:
-                    listed = [(s, tuple(MarkedPart(v, j) for v in values))
-                              for s in range(budget + 1)
-                              for values in _parts(s, hi_j, lo_j, strict)]
-                    partial = [(chosen + (piece,), left - s)
-                               for chosen, left in partial
-                               for s, piece in listed if s <= left]
-                for chosen, left in partial:
-                    for values in _parts(left, hi, lo, strict):
-                        filled = chosen + (tuple(MarkedPart(v, mark) for v in values),)
-                        top = forced + sum(filled[:k], ())
-                        yield top, top if symmetric else sum(filled[k:], ()), last
+                yield profile, pools, room - size
+
+
+def _marked_rows(n: int, k: int, strict: bool, symmetric: bool = False):
+    """Yield (top, bottom, M_k) for every k-marked symbol of size n; the only
+    code that assigns marks.
+
+    Each profile of :func:`_profiles` puts M_j with mark j in the top row
+    (j < k) and fills its pools with :func:`_parts`; ``symmetric`` repeats
+    the top row below.  The caller's frozen class still validates each
+    symbol.
+    """
+    for profile, pools, budget in _profiles(n, k, strict, symmetric):
+        forced = tuple(map(MarkedPart, profile[:-1], range(1, k)))
+        # list every pool but the last once, pruned to the budget; the last
+        # pool takes exactly what is left
+        *head, (mark, lo, hi) = pools
+        partial = [((), budget)]
+        for j, lo_j, hi_j in head:
+            listed = [(s, tuple(MarkedPart(v, j) for v in values))
+                      for s in range(budget + 1)
+                      for values in _parts(s, hi_j, lo_j, strict)]
+            partial = [(chosen + (piece,), left - s)
+                       for chosen, left in partial
+                       for s, piece in listed if s <= left]
+        for chosen, left in partial:
+            for values in _parts(left, hi, lo, strict):
+                filled = chosen + (tuple(MarkedPart(v, mark) for v in values),)
+                top = forced + sum(filled[:k], ())
+                yield top, top if symmetric else sum(filled[k:], ()), profile[-1]
+
+
+def _rank_tallies(top, bottom, strict: bool, budget: int) -> list[dict[int, int]]:
+    """tallies[s][r]: the ways to fill one mark's top and bottom (mark, lo,
+    hi) pools with free parts of total s <= budget, by r = top count minus
+    bottom count.  Each value joins once (``strict``) or any number of
+    times; a top part adds 1 to r and a bottom part takes 1 off."""
+    tallies = [{} for _ in range(budget + 1)]
+    tallies[0][0] = 1
+    for (_, lo, hi), step in ((top, 1), (bottom, -1)):
+        for value in range(lo, min(hi, budget) + 1):
+            # walking s down adds the value at most once, walking up as often as it fits
+            for s in (range(budget, value - 1, -1) if strict else range(value, budget + 1)):
+                row = tallies[s]
+                for r, count in tallies[s - value].items():
+                    row[r + step] = row.get(r + step, 0) + count
+    return tallies
+
+
+def _marked_census(n: int, k: int, strict: bool) -> dict[RankVector, int]:
+    """Map rank vector -> number of k-marked symbols of size n, Durfee
+    symbols or (``strict``) unimodal ones, counted without building one.
+
+    It walks the profiles and pools of :func:`_profiles`, as
+    :func:`_marked_rows` does.  Rank j is the mark-j top length minus the
+    bottom length, less 1 for j < k; the forced top part M_j cancels that
+    1, so rank j is the free top count minus the bottom count, which
+    :func:`_rank_tallies` counts by size.  The k marks are combined by size
+    into rank vectors, and each profile adds those at exactly its budget.
+    Keys are in ascending order.
+    """
+    census = Counter()
+    for _, pools, budget in _profiles(n, k, strict):
+        vectors = [{(): 1}] + [{} for _ in range(budget)]  # by size: rank prefix -> count
+        for j, (top, bottom) in enumerate(zip(pools[:k], pools[k:]), 1):
+            tallies = _rank_tallies(top, bottom, strict, budget)
+            combined = [{} for _ in range(budget + 1)]
+            for s, prefixes in enumerate(vectors):
+                for prefix, c in prefixes.items():
+                    # after the last mark only the budget itself is read
+                    for t in range(budget - s if j == k else 0, budget + 1 - s):
+                        row = combined[s + t]
+                        for r, count in tallies[t].items():
+                            key = prefix + (r,)
+                            row[key] = row.get(key, 0) + c * count
+            vectors = combined
+        census.update(vectors[budget])
+    return dict(sorted(census.items()))
+
+
+def _check_marked(n: int, k: int) -> None:
+    """The size and mark-count checks of every marked-symbol listing and count."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
 
 
 def enumerate_marked_durfee(n: int, k: int) -> list[KMarkedDurfeeSymbol]:
@@ -575,10 +648,7 @@ def enumerate_marked_durfee(n: int, k: int) -> list[KMarkedDurfeeSymbol]:
     For k=1 the plain symbols appear in partition (descending lex) order
     with all marks 1; for k >= 2 the list is sorted by (side, top, bottom).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_marked(n, k)
     symbols = [KMarkedDurfeeSymbol(top, bottom, side, k)
                for top, bottom, side in _marked_rows(n, k, strict=False)]
     if k == 1:
@@ -598,10 +668,7 @@ def enumerate_marked_unimodal(n: int, k: int) -> list[KMarkedSUSymbol]:
     list is sorted by (peak, top, bottom).  The smallest n with any symbol
     is k(k+1)/2.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_marked(n, k)
     symbols = [KMarkedSUSymbol(top, bottom, peak, k)
                for top, bottom, peak in _marked_rows(n, k, strict=True)]
     symbols.sort(key=lambda s: (s.peak if k > 1 else -s.peak, s.top, s.bottom))
@@ -609,12 +676,15 @@ def enumerate_marked_unimodal(n: int, k: int) -> list[KMarkedSUSymbol]:
 
 
 def rank_census_marked_unimodal(n: int, k: int) -> dict[RankVector, int]:
-    """Map rank vector -> number of k-marked unimodal symbols of n."""
-    return dict(Counter(map(unimodal_ranks, enumerate_marked_unimodal(n, k))))
+    """Map rank vector -> number of k-marked unimodal symbols of n, in
+    ascending key order; counted by :func:`_marked_census`, not listed."""
+    _check_marked(n, k)
+    return _marked_census(n, k, strict=True)
 
 
 def count_marked_unimodal(ranks: RankVector, n: int, k: int) -> int:
-    """Recounts :func:`rank_census_marked_unimodal` each call; for many ranks, read it once."""
+    """Recounts :func:`rank_census_marked_unimodal` each call (no symbol is
+    built); for many ranks, read it once."""
     if len(ranks) != k:
         raise ValueError(f"rank vector {ranks!r} has length {len(ranks)}, expected {k}")
     if n < 1:
@@ -623,12 +693,15 @@ def count_marked_unimodal(ranks: RankVector, n: int, k: int) -> int:
 
 
 def rank_census_marked_durfee(n: int, k: int) -> dict[RankVector, int]:
-    """Map rank vector -> number of k-marked Durfee symbols of n."""
-    return dict(Counter(map(durfee_ranks, enumerate_marked_durfee(n, k))))
+    """Map rank vector -> number of k-marked Durfee symbols of n, in
+    ascending key order; counted by :func:`_marked_census`, not listed."""
+    _check_marked(n, k)
+    return _marked_census(n, k, strict=False)
 
 
 def count_marked_durfee(ranks: RankVector, n: int, k: int) -> int:
-    """Recounts :func:`rank_census_marked_durfee` each call; for many ranks, read it once."""
+    """Recounts :func:`rank_census_marked_durfee` each call (no symbol is
+    built); for many ranks, read it once."""
     if len(ranks) != k:
         raise ValueError(f"rank vector {ranks!r} has length {len(ranks)}, expected {k}")
     if n < 1:
@@ -649,10 +722,7 @@ def count_self_conjugate(n: int, k: int) -> int:
     unimodal top pools to half the leftover size, and every such top row is
     also a valid bottom row.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_marked(n, k)
     symbols = (KMarkedSUSymbol(top, bottom, peak, k) for top, bottom, peak
                in _marked_rows(n, k, strict=True, symmetric=True))
     return sum(1 for _ in symbols)

@@ -6,13 +6,15 @@ are exact; the only tolerances are the float error bounds recorded by the
 numeric specializer and the stated wall-clock budgets.
 """
 
+import io
 import random
 import time
-from contextlib import contextmanager
+from collections import Counter
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
 from marking_oracle import unimodal_by_filter
-from qranks import combinat, genfun
+from qranks import cli, combinat, genfun
 from qranks.series import FactorSpec, TruncatedSeries, pochhammer
 from qranks.specialize import RootOfUnityVector, specialize_exact, specialize_numeric
 
@@ -29,20 +31,26 @@ def criterion(label):
     print(f"ACCEPTANCE {label}: PASS ({elapsed:.1f}s)")
 
 
+def _listing_tally(ranks, symbols):
+    return dict(Counter(map(ranks, symbols)))
+
+
 def test_criterion_1_marked_unimodal_series_equals_census():
-    with criterion("1 (k-marked unimodal rank series vs census, k<=3, n<=22)"):
+    with criterion("1 (k-marked unimodal rank series vs census vs listing, k<=3, n<=22)"):
         started = time.monotonic()
         for k in (1, 2, 3):
             series = genfun.marked_unimodal_rank_series(k, 22)
             assert series.coefficient(0).is_zero()
             for n in range(1, 23):
                 census = combinat.rank_census_marked_unimodal(n, k)
-                assert series.coefficient(n).terms == census, (k, n)
+                listed = _listing_tally(combinat.unimodal_ranks,
+                                        combinat.enumerate_marked_unimodal(n, k))
+                assert series.coefficient(n).terms == census == listed, (k, n)
         assert time.monotonic() - started < 300
 
 
 def test_criterion_2_marked_durfee_series_equals_census():
-    with criterion("2 (k-marked Durfee rank series vs census, k<=2, n<=18)"):
+    with criterion("2 (k-marked Durfee rank series vs census vs listing, k<=2, n<=18)"):
         started = time.monotonic()
         for k in (1, 2):
             series = genfun.marked_durfee_rank_series(k, 18)
@@ -50,8 +58,23 @@ def test_criterion_2_marked_durfee_series_equals_census():
             assert series.coefficient(0).terms == expected_constant
             for n in range(1, 19):
                 census = combinat.rank_census_marked_durfee(n, k)
-                assert series.coefficient(n).terms == census, (k, n)
+                listed = _listing_tally(combinat.durfee_ranks,
+                                        combinat.enumerate_marked_durfee(n, k))
+                assert series.coefficient(n).terms == census == listed, (k, n)
         assert time.monotonic() - started < 300
+
+
+def test_criterion_2_at_scale_thm_1_1_cells():
+    with criterion("2 at scale (qranks verify thm-1-1 cells, k<=3, n<=22)"):
+        started = time.monotonic()
+        out = io.StringIO()
+        # the budget estimate still counts listed symbols (2.2e8 here)
+        argv = ["verify", "--suite", "thm-1-1", "--k-max", "3", "--n-max", "22",
+                "--budget", str(10 ** 9)]
+        with redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert out.getvalue().splitlines()[-1] == "summary: 66 cells, 66 passed, 0 failed"
+        assert time.monotonic() - started < 30
 
 
 def test_criterion_3_self_conjugate_identity():

@@ -2,6 +2,7 @@
 
 import itertools
 import operator
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -299,6 +300,56 @@ class TestMarkedUnimodal:
         assert count_unimodal_by_rank(0, 4) == 2
         assert count_unimodal_by_rank(-1, 4) == 1
         assert count_unimodal_by_rank(7, 4) == 0
+
+
+def _tally(ranks, symbols):
+    return dict(Counter(map(ranks, symbols)))
+
+
+# census, listing, rank statistic and marking oracle of each marked family
+MARKED_FAMILIES = {
+    "durfee": (rank_census_marked_durfee, enumerate_marked_durfee, durfee_ranks,
+               durfee_by_filter),
+    "unimodal": (rank_census_marked_unimodal, enumerate_marked_unimodal, unimodal_ranks,
+                 unimodal_by_filter),
+}
+
+
+class TestMarkedCensus:
+    """The counting census of each marked family against its listing tally."""
+
+    @pytest.mark.parametrize("family", MARKED_FAMILIES)
+    def test_equals_listing_and_oracle_tallies(self, family):
+        census, listing, ranks, oracle = MARKED_FAMILIES[family]
+        for k in (1, 2, 3):
+            for n in range(1, 15):
+                counted = census(n, k)
+                assert counted == _tally(ranks, listing(n, k)), (n, k)
+                assert counted == _tally(ranks, oracle(n, k)), (n, k)
+                assert list(counted) == sorted(counted) and all(counted.values()), (n, k)
+
+    # the Durfee listing grows fastest: at k=4, n=18 it builds 209,607 symbols
+    # (about 15 s), so Durfee draws above k=2 stop at n=12
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_equals_listing_tally_random(self, data):
+        family = data.draw(st.sampled_from(sorted(MARKED_FAMILIES)))
+        census, listing, ranks, _ = MARKED_FAMILIES[family]
+        k = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, 18 if family == "unimodal" or k <= 2 else 12))
+        assert census(n, k) == _tally(ranks, listing(n, k))
+
+    @pytest.mark.parametrize("family", MARKED_FAMILIES)
+    def test_argument_errors_unchanged(self, family):
+        census = MARKED_FAMILIES[family][0]
+        for n, k, message in ((0, 2, "n must be >= 1"), (0, 0, "n must be >= 1"),
+                              (3, 0, "k must be >= 1"), (-1, 1, "n must be >= 1")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                census(n, k)
+        count = getattr(combinat, f"count_marked_{family}")
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            count((), 3, 0)
+        assert count((0, 0), 0, 2) == 0
 
 
 class TestSelfConjugate:

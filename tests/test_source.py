@@ -38,5 +38,20 @@ def test_no_state_between_calls(path):
     assert not found, f"{path.name}: {found}"
 
 
+def test_combinat_shares_no_code_with_the_series_side():
+    """`combinat` is the census side of every verified identity and `genfun`
+    with `series` the generating-function side, so `combinat` imports
+    neither, by any form of import."""
+    path = next(p for p in SOURCES if p.name == "combinat.py")
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    assert not names & {"genfun", "series"}, sorted(names)
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"series.py", "genfun.py", "combinat.py"}
