@@ -14,21 +14,23 @@ One parts enumerator, :func:`_parts`, lists every row, partition and
 largest-marked-part profile, and one profile walk, :func:`_profiles`, sets
 the (mark, lo, hi) pools of every marked symbol.  One pool filler,
 :func:`_marked_rows`, assigns every mark: it builds the marked symbols of
-both families (and the symmetric unimodal ones) from those pools, without
-listing a marking the rules reject.  Each family keeps its own validator,
-which its frozen class runs on every symbol built.  The two
-``rank_census_marked_*`` build no symbol: :func:`_marked_census` walks the
-same pools and counts their free parts by size and rank.  Nothing is
-cached: every census and ``count_*`` recounts when called, and the other
-ones tally their listing.  None of this is shared with
-:mod:`qranks.genfun`, whose index enumerator is the other side of every
-verified identity.
+both families from those pools, without listing a marking the rules
+reject.  One validator, :func:`_marked_violation`, states the rules of
+both families, and each frozen class runs it on every symbol built.  No
+census or count builds a marked symbol: :func:`_marked_census` walks the
+same pools and counts their free parts by size and rank, and
+:func:`count_self_conjugate` weights the rows of the plain symmetric
+symbols by their markings.  Nothing is cached: every census and
+``count_*`` recounts when called, and the unmarked ones tally their
+listing.  None of this is shared with :mod:`qranks.genfun`, whose index
+enumerator is the other side of every verified identity.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator, NamedTuple
 
 RankVector = tuple[int, ...]
@@ -356,75 +358,44 @@ def _row_shape_violation(row: tuple[MarkedPart, ...], k: int, *,
     return None
 
 
-def _marked_durfee_violation(top, bottom, side: int, k: int) -> str | None:
+def _marked_violation(top, bottom, last: int, k: int, strict: bool) -> str | None:
+    """Why these rows do not make a k-marked Durfee symbol of side ``last``
+    (with ``strict``, a unimodal symbol of peak ``last``), or None.
+
+    With M_j the largest top-row value of mark j (j < k), M_k = last and
+    M_0 = 1 - strict, a part of mark j lies in [M_(j-1) + strict, M_j], or
+    [M_(k-1) + 1, peak - 1] for a unimodal mark k.
+    """
     if k < 1:
         return "mark count k must be >= 1"
-    if side < 1:
-        return "side must be >= 1"
+    if last < 1:
+        return f"{'peak' if strict else 'side'} must be >= 1"
     for row in (top, bottom):
-        reason = _row_shape_violation(row, k, strict_values=False)
+        reason = _row_shape_violation(row, k, strict_values=strict)
         if reason:
             return reason
         for part in row:
-            if part.value > side:
-                return f"part {part} exceeds side {side}"
-    if k == 1:
-        return None
+            if part.value > last - strict:
+                return f"part {part} " + (f"not below peak {last}" if strict
+                                          else f"exceeds side {last}")
     top_marks = {p.mark for p in top}
     for j in range(1, k):
         if j not in top_marks:
             return f"mark {j} missing from the top row"
-    largest = [0] * (k + 1)
-    for j in range(1, k):
-        largest[j] = max(p.value for p in top if p.mark == j)
-    largest[k] = side
-    # bottom-row interval rule; mark-1 interval starts at 1 and consecutive
-    # intervals share endpoints
-    for part in bottom:
-        j = part.mark
-        lo = 1 if j == 1 else largest[j - 1]
-        hi = largest[j]
-        if not lo <= part.value <= hi:
-            return f"bottom part {part} outside [{lo}, {hi}]"
-    return None
+    largest = [1 - strict] + [max(p.value for p in top if p.mark == j)
+                              for j in range(1, k)] + [last]
 
+    def interval(j: int) -> tuple[int, int]:
+        return largest[j - 1] + strict, largest[j] - (strict and j == k)
 
-def _marked_unimodal_violation(top, bottom, peak: int, k: int) -> str | None:
-    if k < 1:
-        return "mark count k must be >= 1"
-    if peak < 1:
-        return "peak must be >= 1"
-    for row in (top, bottom):
-        reason = _row_shape_violation(row, k, strict_values=True)
-        if reason:
-            return reason
-        for part in row:
-            if part.value >= peak:
-                return f"part {part} not below peak {peak}"
-    if k == 1:
-        return None
-    top_marks = {p.mark for p in top}
-    for j in range(1, k):
-        if j not in top_marks:
-            return f"mark {j} missing from the top row"
-    largest = [0] * (k + 1)
-    for j in range(1, k):
-        largest[j] = max(p.value for p in top if p.mark == j)
-    largest[k] = peak
-    # bottom-row interval rule: mark j < k inside (largest[j-1], largest[j]],
-    # mark k strictly between largest[k-1] and the peak
     for part in bottom:
-        j = part.mark
-        lo = largest[j - 1] + 1
-        hi = largest[j] if j < k else peak - 1
+        lo, hi = interval(part.mark)
         if not lo <= part.value <= hi:
             return f"bottom part {part} outside [{lo}, {hi}]"
     # the ordering rules force the same intervals on the top row; a part
     # outside them means those rules are broken, not that the symbol is
     for part in top:
-        j = part.mark
-        lo = largest[j - 1] + 1
-        hi = largest[j] if j < k else peak - 1
+        lo, hi = interval(part.mark)
         if not lo <= part.value <= hi:
             raise RuntimeError(f"top part {part} escaped [{lo}, {hi}]")
     return None
@@ -449,7 +420,7 @@ class KMarkedDurfeeSymbol:
     def __post_init__(self):
         object.__setattr__(self, "top", _canonical_row(self.top))
         object.__setattr__(self, "bottom", _canonical_row(self.bottom))
-        reason = _marked_durfee_violation(self.top, self.bottom, self.side, self.k)
+        reason = _marked_violation(self.top, self.bottom, self.side, self.k, strict=False)
         if reason:
             raise ValueError(f"invalid {self.k}-marked Durfee symbol: {reason}")
 
@@ -482,7 +453,7 @@ class KMarkedSUSymbol:
     def __post_init__(self):
         object.__setattr__(self, "top", _canonical_row(self.top))
         object.__setattr__(self, "bottom", _canonical_row(self.bottom))
-        reason = _marked_unimodal_violation(self.top, self.bottom, self.peak, self.k)
+        reason = _marked_violation(self.top, self.bottom, self.peak, self.k, strict=True)
         if reason:
             raise ValueError(f"invalid {self.k}-marked unimodal symbol: {reason}")
 
@@ -519,7 +490,7 @@ def unimodal_ranks(sym: KMarkedSUSymbol) -> RankVector:
     return _ranks_from_rows(sym.top, sym.bottom, sym.k)
 
 
-def _profiles(n: int, k: int, strict: bool, symmetric: bool = False):
+def _profiles(n: int, k: int, strict: bool):
     """Yield (profile, pools, budget) for every largest-marked-part profile
     of a k-marked symbol of size n.
 
@@ -531,42 +502,34 @@ def _profiles(n: int, k: int, strict: bool, symmetric: bool = False):
     their parts, and both rows draw mark j from [M_(j-1), M_j] (M_0 = 1).
     Unimodal symbols (``strict``) have M_1 < ... < M_k = peak; the top row
     draws mark j from [M_(j-1)+1, M_j-1] and the bottom row from
-    [M_(j-1)+1, M_j], or [M_(k-1)+1, peak-1] for mark k (M_0 = 0).
-    ``symmetric`` keeps the unimodal top pools only, at half the leftover
-    size, for symbols whose bottom row repeats the top row.  The budget is
-    what the free parts must add up to; the ordering rules put every symbol
-    in exactly one profile and filling.
+    [M_(j-1)+1, M_j], or [M_(k-1)+1, peak-1] for mark k (M_0 = 0).  The
+    budget is what the free parts must add up to; the ordering rules put
+    every symbol in exactly one profile and filling.
     """
     marks = range(1, k + 1)
     for last in range(1, n + 1):
         room = n - (last if strict else last * last)
         if room < 0:
             break
-        if symmetric:
-            if room % 2:
-                continue
-            room //= 2
         for size in range(room + 1):
             for below in _parts(size, last - strict, strict=strict, length=k - 1):
                 profile = below[::-1] + (last,)
                 lows = (1,) + tuple(m + strict for m in profile[:-1])
                 pools = [(j, lo, hi - strict) for j, lo, hi in zip(marks, lows, profile)]
-                if not symmetric:
-                    pools += [(j, lo, hi - (strict and j == k))
-                              for j, lo, hi in zip(marks, lows, profile)]
+                pools += [(j, lo, hi - (strict and j == k))
+                          for j, lo, hi in zip(marks, lows, profile)]
                 yield profile, pools, room - size
 
 
-def _marked_rows(n: int, k: int, strict: bool, symmetric: bool = False):
+def _marked_rows(n: int, k: int, strict: bool):
     """Yield (top, bottom, M_k) for every k-marked symbol of size n; the only
     code that assigns marks.
 
     Each profile of :func:`_profiles` puts M_j with mark j in the top row
-    (j < k) and fills its pools with :func:`_parts`; ``symmetric`` repeats
-    the top row below.  The caller's frozen class still validates each
-    symbol.
+    (j < k) and fills its pools with :func:`_parts`.  The caller's frozen
+    class still validates each symbol.
     """
-    for profile, pools, budget in _profiles(n, k, strict, symmetric):
+    for profile, pools, budget in _profiles(n, k, strict):
         forced = tuple(map(MarkedPart, profile[:-1], range(1, k)))
         # list every pool but the last once, pruned to the budget; the last
         # pool takes exactly what is left
@@ -582,8 +545,7 @@ def _marked_rows(n: int, k: int, strict: bool, symmetric: bool = False):
         for chosen, left in partial:
             for values in _parts(left, hi, lo, strict):
                 filled = chosen + (tuple(MarkedPart(v, mark) for v in values),)
-                top = forced + sum(filled[:k], ())
-                yield top, top if symmetric else sum(filled[k:], ()), profile[-1]
+                yield forced + sum(filled[:k], ()), sum(filled[k:], ()), profile[-1]
 
 
 def _rank_tallies(top, bottom, strict: bool, budget: int) -> list[dict[int, int]]:
@@ -717,15 +679,16 @@ def count_marked_durfee(ranks: RankVector, n: int, k: int) -> int:
 def count_self_conjugate(n: int, k: int) -> int:
     """Number of k-marked unimodal symbols of n whose rows are identical.
 
-    A symmetric symbol is a peak M with one marked row repeated twice, so
-    only peaks with n - M even contribute; :func:`_marked_rows` fills the
-    unimodal top pools to half the leftover size, and every such top row is
-    also a valid bottom row.
+    Such a symbol is a plain symmetric one, a peak M with n - M even and one
+    strict row of (n - M)/2 below M written twice, whose row is marked.
+    Marks are nonincreasing down the row and 1..k-1 each occur, so they cut
+    a row of L parts into blocks of marks k (possibly empty), k-1, ..., 1
+    (each nonempty): C(L, k-1) markings, under which the interval rules
+    hold on both rows.  No symbol is built.
     """
     _check_marked(n, k)
-    symbols = (KMarkedSUSymbol(top, bottom, peak, k) for top, bottom, peak
-               in _marked_rows(n, k, strict=True, symmetric=True))
-    return sum(1 for _ in symbols)
+    return sum(comb(len(row), k - 1) for peak in range(n, 0, -2)
+               for row in _parts((n - peak) // 2, peak - 1, strict=True))
 
 
 def enumerate_self_conjugate_symbols(n: int) -> list[SUSymbol]:
@@ -734,9 +697,7 @@ def enumerate_self_conjugate_symbols(n: int) -> list[SUSymbol]:
     if n < 1:
         raise ValueError("n must be >= 1")
     symbols = []
-    for peak in range(1, n + 1):
-        if (n - peak) % 2:
-            continue
+    for peak in range(n, 0, -2):
         for values in _parts((n - peak) // 2, peak - 1, strict=True):
             row = Partition(values)
             symbols.append(SUSymbol(row, row, peak))
@@ -837,47 +798,35 @@ def count_even_part_parity(n: int, k: int) -> tuple[int, int]:
     each value repeatable, every even part smaller than twice the number of
     odd parts.  Returns (count with an odd number of even parts, count with
     an even number of even parts).
+
+    Both are counted in one pass over the number L of odd parts: the odd
+    partitions of L + 2m by how many parts reach 3, 5, ... (a strict
+    partition of m into parts below L), the decorations by ways[c][t][p],
+    the choices of c distinct even values below 2L, each used at least
+    once, of total t and part-count parity p.
     """
     if k < 2:
         raise ValueError("defined for k >= 2 only")
     if n < 0:
         raise ValueError("n must be >= 0")
-    odd_total = 0
-    even_total = 0
-    for odd_sum in range(n + 1):
-        for parts in _complete_odd_partitions(odd_sum):
-            if len(parts) < k:
-                continue
-            limit = 2 * len(parts)  # even parts must be strictly below this
-            with_odd, with_even = _even_decorations(n - odd_sum, k - 1, limit)
-            odd_total += with_odd
-            even_total += with_even
-    return odd_total, even_total
-
-
-def _even_decorations(total: int, slots: int, limit: int) -> tuple[int, int]:
-    """Count choices of ``slots`` distinct even values below ``limit`` with
-    multiplicities >= 1 summing to ``total``, split by the parity of the
-    number of parts: (odd-many parts, even-many parts)."""
+    strict = [1] + [0] * n  # strict[m]: strict partitions of m into parts below L
+    ways = [[[0, 0] for _ in range(n + 1)] for _ in range(k)]
+    ways[0][0][0] = 1
     tallies = [0, 0]
-
-    def rec(remaining: int, smallest: int, slots_left: int, part_count: int):
-        if slots_left == 0:
-            if remaining == 0:
-                tallies[part_count % 2] += 1
-            return
-        value = smallest
-        while value < limit:
-            # the other slots take at least value+2, value+4, ... once each
-            min_rest = (slots_left - 1) * (value + slots_left)
-            if value + min_rest > remaining:
-                break
-            copies = 1
-            while value * copies + min_rest <= remaining:
-                rec(remaining - value * copies, value + 2, slots_left - 1,
-                    part_count + copies)
-                copies += 1
-            value += 2
-
-    rec(total, 2, slots, 0)
+    for length in range(2, n + 1):
+        part, value = length - 1, 2 * length - 2
+        for m in range(n, part - 1, -1):
+            strict[m] += strict[m - part]
+        # c falls, so ways[c - 1] does not hold the new value yet
+        for c in range(k - 1, 0, -1):
+            taken = [[0, 0] for _ in range(n + 1)]  # the new value used >= 1 times
+            for t in range(value, n + 1):
+                # one more copy of the value flips the parity of the part count
+                once, again = ways[c - 1][t - value], taken[t - value]
+                taken[t] = [once[1] + again[1], once[0] + again[0]]
+                ways[c][t] = [w + x for w, x in zip(ways[c][t], taken[t])]
+        if length >= k:
+            for m in range((n - length) // 2 + 1):
+                for p in (0, 1):
+                    tallies[p] += strict[m] * ways[k - 1][n - length - 2 * m][p]
     return tallies[1], tallies[0]

@@ -1,11 +1,17 @@
-"""The definitional filter, kept as the one reference oracle for the marked
-symbol enumerators in :mod:`qranks.combinat`.
+"""Reference oracles for the marked objects of :mod:`qranks.combinat`.
 
-It marks every plain symbol in every nonincreasing way and keeps the
-markings the frozen constructor accepts, then puts them in the documented
-order: the plain order at k=1, else sorted by (side or peak, top, bottom).
-It shares the plain enumerators and the validators with the library, but
-not the profile-and-pool construction it checks.
+The definitional filter is the one reference for the marked symbol
+enumerators and for the self-conjugate count.  It marks every plain symbol
+in every nonincreasing way and keeps the markings the frozen constructor
+accepts, then puts them in the documented order: the plain order at k=1,
+else sorted by (side or peak, top, bottom).  It shares the plain
+enumerators and the validators with the library, but not the
+profile-and-pool construction it checks.
+
+The decoration recursion is the reference for
+:func:`qranks.combinat.count_even_part_parity`: it lists every marked even
+decoration of every complete odd partition one by one, where the library
+counts them with tables.
 """
 
 from itertools import combinations_with_replacement
@@ -14,6 +20,7 @@ from qranks.combinat import (
     KMarkedDurfeeSymbol,
     KMarkedSUSymbol,
     durfee_decompose,
+    enumerate_complete_odd_partitions,
     enumerate_partitions,
     enumerate_su_sequences,
     su_symbol,
@@ -63,3 +70,44 @@ def unimodal_by_filter(n, k):
 def self_conjugate_by_filter(n, k):
     """Number of k-marked unimodal symbols of n with identical rows."""
     return sum(1 for s in unimodal_by_filter(n, k) if s.top == s.bottom)
+
+
+def even_part_parity_by_recursion(n, k):
+    """(odd-many, even-many) even parts over the decorated odd-part
+    configurations of n, each decoration listed by :func:`_even_decorations`."""
+    odd_total = even_total = 0
+    for odd_sum in range(n + 1):
+        for p in enumerate_complete_odd_partitions(odd_sum):
+            if len(p) >= k:
+                with_odd, with_even = _even_decorations(n - odd_sum, k - 1, 2 * len(p))
+                odd_total += with_odd
+                even_total += with_even
+    return odd_total, even_total
+
+
+def _even_decorations(total, slots, limit):
+    """Count choices of ``slots`` distinct even values below ``limit`` with
+    multiplicities >= 1 summing to ``total``, split by the parity of the
+    number of parts: (odd-many parts, even-many parts)."""
+    tallies = [0, 0]
+
+    def rec(remaining, smallest, slots_left, part_count):
+        if slots_left == 0:
+            if remaining == 0:
+                tallies[part_count % 2] += 1
+            return
+        value = smallest
+        while value < limit:
+            # the other slots take at least value+2, value+4, ... once each
+            min_rest = (slots_left - 1) * (value + slots_left)
+            if value + min_rest > remaining:
+                break
+            copies = 1
+            while value * copies + min_rest <= remaining:
+                rec(remaining - value * copies, value + 2, slots_left - 1,
+                    part_count + copies)
+                copies += 1
+            value += 2
+
+    rec(total, 2, slots, 0)
+    return tallies[1], tallies[0]

@@ -93,6 +93,18 @@ def test_criterion_3_self_conjugate_identity():
         assert time.monotonic() - started < 120
 
 
+def test_criterion_3_at_scale():
+    with criterion("3 at scale (qranks verify thm-1-5 cells, k<=3, n<=60)"):
+        started = time.monotonic()
+        out = io.StringIO()
+        # the default budget admits it (estimate 1.38e7 against 1e8)
+        argv = ["verify", "--suite", "thm-1-5", "--k-max", "3", "--n-max", "60"]
+        with redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert out.getvalue().splitlines()[-1].endswith(", 0 failed")
+        assert time.monotonic() - started < 30
+
+
 def test_criterion_4_psi_forms_and_bijection():
     with criterion("4 (psi three ways to q^50; self-conjugate bijection, n<=20)"):
         theta = genfun.mock_theta_psi(50, "theta")

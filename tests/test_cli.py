@@ -385,7 +385,11 @@ USAGE_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("argv,err", USAGE_ERRORS)
+# A budget refusal is named by its argv alone, so a changed estimate renames
+# no test; the other refusals keep pytest's own "<argv>-<stderr>" ids.
+@pytest.mark.parametrize("argv,err", USAGE_ERRORS, ids=[
+    argv if err.startswith("error: estimated ") else None
+    for argv, err in USAGE_ERRORS])
 def test_usage_errors_and_refusals(capsys, argv, err):
     assert run(capsys, *argv.split()) == (2, "", err + "\n")
 

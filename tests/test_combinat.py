@@ -7,7 +7,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from marking_oracle import durfee_by_filter, self_conjugate_by_filter, unimodal_by_filter
+from marking_oracle import (
+    durfee_by_filter,
+    even_part_parity_by_recursion,
+    self_conjugate_by_filter,
+    unimodal_by_filter,
+)
 
 from qranks import combinat
 from qranks.combinat import (
@@ -205,6 +210,19 @@ class TestMarkedDurfee:
             expected = {(m,): c for m, c in rank_census_partitions(n).items()}
             assert rank_census_marked_durfee(n, 1) == expected
 
+    def test_k1_listing_is_the_plain_symbols_marked_1(self):
+        # at k=1 the row checks alone decide: every mark is 1 and M_1 is the side
+        for n in range(1, 15):
+            plain = [(tuple((v, 1) for v in s.top.parts), tuple((v, 1) for v in s.bottom.parts),
+                      s.side) for s in map(durfee_decompose, enumerate_partitions(n))]
+            assert [(s.top, s.bottom, s.side) for s in enumerate_marked_durfee(n, 1)] == plain
+
+    def test_k1_rejections_come_from_the_rows(self):
+        with pytest.raises(ValueError, match="exceeds side 1"):
+            KMarkedDurfeeSymbol((), ((2, 1),), side=1, k=1)
+        with pytest.raises(ValueError, match="mark 2 outside 1..1"):
+            KMarkedDurfeeSymbol(((1, 2),), (), side=1, k=1)
+
     def test_sizes_and_validity(self):
         for n in range(1, 11):
             for sym in enumerate_marked_durfee(n, 2):
@@ -252,6 +270,19 @@ class TestMarkedUnimodal:
         for n in range(1, 13):
             expected = {(m,): c for m, c in rank_census_unimodal(n).items()}
             assert rank_census_marked_unimodal(n, 1) == expected
+
+    def test_k1_listing_is_the_plain_symbols_marked_1(self):
+        # at k=1 the row checks alone decide: every mark is 1 and M_1 is the peak
+        for n in range(1, 15):
+            plain = [(tuple((v, 1) for v in s.top.parts), tuple((v, 1) for v in s.bottom.parts),
+                      s.peak) for s in map(su_symbol, enumerate_su_sequences(n))]
+            assert [(s.top, s.bottom, s.peak) for s in enumerate_marked_unimodal(n, 1)] == plain
+
+    def test_k1_rejections_come_from_the_rows(self):
+        with pytest.raises(ValueError, match="not below peak 2"):
+            KMarkedSUSymbol(((2, 1),), (), peak=2, k=1)
+        with pytest.raises(ValueError, match="mark 2 outside 1..1"):
+            KMarkedSUSymbol((), ((1, 2),), peak=2, k=1)
 
     def test_filter_and_constructive_agree(self):
         for n in range(1, 15):
@@ -365,6 +396,8 @@ class TestSelfConjugate:
         for n in range(1, 15):
             for k in (1, 2, 3):
                 assert count_self_conjugate(n, k) == self_conjugate_by_filter(n, k), (n, k)
+        for n in range(1, 17):
+            assert count_self_conjugate(n, 4) == self_conjugate_by_filter(n, 4), n
 
     def test_matches_complete_odd_partitions(self):
         for n in range(1, 31):
@@ -388,6 +421,11 @@ class TestEvenPartParity:
     def test_identity_at_four(self):
         with_odd, with_even = count_even_part_parity(4, 2)
         assert (with_odd - with_even) == count_self_conjugate(4, 2)
+
+    def test_against_decoration_recursion(self):
+        for k in range(2, 6):
+            for n in range(41):
+                assert count_even_part_parity(n, k) == even_part_parity_by_recursion(n, k), (n, k)
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError, match="k >= 2"):

@@ -53,5 +53,37 @@ def test_combinat_shares_no_code_with_the_series_side():
     assert not names & {"genfun", "series"}, sorted(names)
 
 
+COUNTS = ("count_self_conjugate", "count_even_part_parity", "rank_census_marked_unimodal",
+          "rank_census_marked_durfee", "_marked_census")
+
+
+@pytest.mark.parametrize("count", COUNTS)
+def test_counts_build_no_marked_symbol(count):
+    """The counts `verify` reads build no marked symbol: neither they nor any
+    `combinat` function they reach refers to the pool filler, a marked
+    symbol class or a marked listing."""
+    path = next(p for p in SOURCES if p.name == "combinat.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def names(name):
+        return {node.id for stmt in functions[name].body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)}
+
+    def forbidden(name):
+        return name in {"_marked_rows", "KMarkedSUSymbol", "KMarkedDurfeeSymbol"} \
+            or name.startswith("enumerate_marked_")
+
+    reached, pending = set(), [count]
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            pending.extend(names(name) & functions.keys())
+    found = {name: refs for name in sorted(reached)
+             if (refs := sorted(filter(forbidden, names(name))))}
+    assert not found, found
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"series.py", "genfun.py", "combinat.py"}
