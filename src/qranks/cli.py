@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 
 from . import combinat, genfun
@@ -162,7 +163,8 @@ def cmd_series(args, out) -> int:
 
 
 # ----------------------------------------------------------------------
-# budget counts (crude, documented upper-bound heuristics)
+# budget counts (exact for partitions and unimodal symbols; the kdurfee
+# column and the thm-1-5 partition term are documented upper bounds)
 # ----------------------------------------------------------------------
 
 
@@ -174,36 +176,33 @@ def _partition_count_list(n_max: int) -> list[int]:
     return counts
 
 
-def _su_symbol_counts(n_max: int) -> list[int]:
-    """counts[n] = sum over peaks of [q^(n - peak)] prod_(p<peak) (1+q^p)^2."""
-    counts = [0] * (n_max + 1)
-    row = [1] + [0] * n_max
+def _symbol_counts(n_max: int, k_max: int, symmetric: bool = False) -> list[list[int]]:
+    """counts[k - 1][n]: the k-marked strongly unimodal symbols of size n,
+    [z^(k-1) q^n] of the sum over peaks of q^peak prod_(p<peak)
+    (1+q^p)(1+(1+z)q^p).  A value below the peak is in the bottom row or
+    not (1+q^p), and in the top row, free or as one of the marked
+    M_1 < ... < M_(k-1), or not (1+(1+z)q^p).  With ``symmetric``, the
+    symbols whose two rows coincide: prod_(p<peak) (1+(1+z)q^(2p)).
+
+    The rows stop at the first k whose counts are all 0, which then serves
+    every larger k: a k-marked symbol has size at least 1+2+...+k."""
+    marks = min(k_max, (math.isqrt(8 * n_max + 1) - 1) // 2 + 1)
+    table = [[1] + [0] * n_max] + [[0] * (n_max + 1) for _ in range(marks - 1)]
+    counts = [[0] * (n_max + 1) for _ in range(marks)]
     for peak in range(1, n_max + 1):
-        for s in range(n_max - peak + 1):
-            counts[peak + s] += row[s]
-        for _ in range(2):
-            for s in range(n_max, peak - 1, -1):
-                row[s] += row[s - peak]
+        for total, row in zip(counts, table):
+            total[peak:] = map(operator.add, total[peak:], row)
+        # 0/1 knapsack steps, c descending so that table[c - 1] is the old
+        # row; sizes above `top` are left stale, as no larger peak reads them
+        top = n_max - peak
+        for value, marked in ((2 * peak, True),) if symmetric else (
+                (peak, False), (peak, True)):
+            for c in range(marks - 1, -1, -1):
+                row, added = table[c], table[c][:top + 1 - value]
+                if marked and c:
+                    added = map(operator.add, added, table[c - 1])
+                row[value:top + 1] = map(operator.add, row[value:top + 1], added)
     return counts
-
-
-def _symmetric_symbol_counts(n_max: int) -> list[int]:
-    """counts[n] = sum over peaks of [q^(n - peak)] prod_(p<peak) (1+q^(2p))."""
-    counts = [0] * (n_max + 1)
-    row = [1] + [0] * n_max
-    for peak in range(1, n_max + 1):
-        for s in range(n_max - peak + 1):
-            counts[peak + s] += row[s]
-        for s in range(n_max, 2 * peak - 1, -1):
-            row[s] += row[s - 2 * peak]
-    return counts
-
-
-def _markings(n: int, k: int) -> int:
-    """Ways to cut the longest row of distinct parts of size <= n into k
-    marked intervals."""
-    length = (math.isqrt(8 * n + 1) - 1) // 2  # largest L with L(L+1)/2 <= n
-    return math.comb(length + k - 1, k - 1)
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +220,7 @@ _OBJECTS = {
     "su-seq": (
         lambda n, k: (([combinat.su_rank(seq)], seq.render())
                       for seq in combinat.enumerate_su_sequences(n)),
-        lambda n_max, k: _su_symbol_counts(n_max), False, 1, "this object"),
+        lambda n_max, k: _symbol_counts(n_max, 1)[0], False, 1, "this object"),
     "kdurfee": (
         lambda n, k: ((list(combinat.durfee_ranks(sym)), sym.render())
                       for sym in combinat.enumerate_marked_durfee(n, k)),
@@ -231,9 +230,7 @@ _OBJECTS = {
     "ksu": (
         lambda n, k: ((list(combinat.unimodal_ranks(sym)), sym.render())
                       for sym in combinat.enumerate_marked_unimodal(n, k)),
-        lambda n_max, k: [c * _markings(n, k) ** 2
-                          for n, c in enumerate(_su_symbol_counts(n_max))],
-        True, 1, "this object"),
+        lambda n_max, k: _symbol_counts(n_max, k)[-1], True, 1, "this object"),
 }
 
 
@@ -342,20 +339,13 @@ def _cells_bijections(n_max: int):
                 "partition"))
 
 
-def _cell_sum(obj: str, n_max: int, k_max: int) -> int:
-    """The object's budget count summed over the cells k <= k_max, 1 <= n <= n_max."""
-    count = _OBJECTS[obj][1]
-    return sum(sum(count(n_max, k)[1:]) for k in range(1, k_max + 1))
-
-
 def _thm15_estimate(n_max: int, k_max: int) -> int:
-    """Symmetric marked symbols, plus the configurations that
-    `combinat.count_even_part_parity` walks for each k: each is one partition
-    of its size (its odd parts and its even decoration), so partitions bound
-    them."""
-    counts = _symmetric_symbol_counts(n_max)
-    return (sum(c * _markings(n, k)
-                for k in range(2, k_max + 1) for n, c in enumerate(counts))
+    """The marked symmetric symbols that `combinat.count_self_conjugate`
+    counts for 2 <= k <= k_max, exactly, plus a bound on the decorated
+    odd-part configurations that `combinat.count_even_part_parity` counts
+    for each k: each is one partition of its size (its odd parts and its
+    even decoration)."""
+    return (sum(map(sum, _symbol_counts(n_max, k_max, symmetric=True)[1:]))
             + (k_max - 1) * sum(_partition_count_list(n_max)[1:]))
 
 
@@ -364,16 +354,18 @@ def _thm15_estimate(n_max: int, k_max: int) -> int:
 _SUITES = {
     "thm-1-2": (lambda n_max, k_max: _cells_census(
         genfun.marked_unimodal_rank_series, combinat.rank_census_marked_unimodal,
-        n_max, k_max), 22, 3, lambda n_max, k_max: _cell_sum("ksu", n_max, k_max)),
+        n_max, k_max), 22, 3,
+        lambda n_max, k_max: sum(map(sum, _symbol_counts(n_max, k_max)))),
     "thm-1-1": (lambda n_max, k_max: _cells_census(
         genfun.marked_durfee_rank_series, combinat.rank_census_marked_durfee,
-        n_max, k_max), 18, 2, lambda n_max, k_max: _cell_sum("kdurfee", n_max, k_max)),
+        n_max, k_max), 18, 2, lambda n_max, k_max: sum(
+            sum(_OBJECTS["kdurfee"][1](n_max, k)[1:]) for k in range(1, k_max + 1))),
     "thm-1-5": (_cells_thm15, 30, 3, _thm15_estimate),
     "psi": (lambda n_max, k_max: _cells_psi(n_max), 50, None,
             lambda n_max, k_max: sum(_partition_count_list(n_max))),
     "bijections": (lambda n_max, k_max: _cells_bijections(n_max), 20, None,
                    lambda n_max, k_max: sum(_partition_count_list(n_max))
-                   + sum(_su_symbol_counts(n_max))),
+                   + sum(_symbol_counts(n_max, 1)[0])),
 }
 
 

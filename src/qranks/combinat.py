@@ -340,7 +340,8 @@ def _render_marked_row(row: tuple[MarkedPart, ...]) -> str:
 
 def _row_shape_violation(row: tuple[MarkedPart, ...], k: int, *,
                          strict_values: bool) -> str | None:
-    """Rule: values (strictly) decreasing and marks nonincreasing along a row."""
+    """Rule: values (strictly) decreasing and marks nonincreasing along a row,
+    which `_canonical_row` has sorted by descending value."""
     prev: MarkedPart | None = None
     for part in row:
         if part.value < 1:
@@ -350,8 +351,6 @@ def _row_shape_violation(row: tuple[MarkedPart, ...], k: int, *,
         if prev is not None:
             if strict_values and part.value >= prev.value:
                 return f"row values not strictly decreasing at {part}"
-            if not strict_values and part.value > prev.value:
-                return f"row values not weakly decreasing at {part}"
             if part.mark > prev.mark:
                 return f"row marks not nonincreasing at {part}"
         prev = part

@@ -49,6 +49,18 @@ def test_criterion_1_marked_unimodal_series_equals_census():
         assert time.monotonic() - started < 300
 
 
+def test_criterion_1_at_scale_thm_1_2_cells():
+    with criterion("1 at scale (qranks verify thm-1-2 cells, k<=3, n<=40)"):
+        started = time.monotonic()
+        out = io.StringIO()
+        # the default budget admits it (exact count 1.86e6 against 1e8)
+        argv = ["verify", "--suite", "thm-1-2", "--k-max", "3", "--n-max", "40"]
+        with redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert out.getvalue().splitlines()[-1] == "summary: 120 cells, 120 passed, 0 failed"
+        assert time.monotonic() - started < 30
+
+
 def test_criterion_2_marked_durfee_series_equals_census():
     with criterion("2 (k-marked Durfee rank series vs census vs listing, k<=2, n<=18)"):
         started = time.monotonic()
@@ -97,7 +109,7 @@ def test_criterion_3_at_scale():
     with criterion("3 at scale (qranks verify thm-1-5 cells, k<=3, n<=60)"):
         started = time.monotonic()
         out = io.StringIO()
-        # the default budget admits it (estimate 1.38e7 against 1e8)
+        # the default budget admits it (estimate 1.33e7 against 1e8)
         argv = ["verify", "--suite", "thm-1-5", "--k-max", "3", "--n-max", "60"]
         with redirect_stdout(out):
             assert cli.main(argv) == 0

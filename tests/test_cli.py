@@ -276,6 +276,12 @@ class TestVerifyCommand:
           "signed parity difference=0",
           "k=2 n=2: self-conjugate count=7; raw series=0; simplified series=0; "
           "signed parity difference=0"]),
+        # the series has {(0,): 1} at n = 1 and at n = 2; the first differing
+        # rank vector is reported, one the series lacks counting as 0
+        ({"rank_census_marked_unimodal": lambda n, k: {(0,): 1, (2 - n,): 2}},
+         "thm-1-2 --n-max 2 --k-max 1",
+         ["k=1 n=1: ranks=(1,): series 0 != census 2",
+          "k=1 n=2: ranks=(0,): series 1 != census 2"]),
     ])
     def test_mismatch_details(self, capsys, monkeypatch, patches, argv, fails):
         for name, replacement in patches.items():
@@ -347,7 +353,7 @@ USAGE_ERRORS = [
     ('enumerate --object kdurfee --n 4 --k 0',
      'error: --object kdurfee requires --k >= 1'),
     ('enumerate --object ksu --n 200 --k 3',
-     'error: estimated 3.67e+17 objects exceeds budget 100000000; raise --budget to force'),
+     'error: estimated 1.9e+14 objects exceeds budget 100000000; raise --budget to force'),
     ('enumerate --object kdurfee --n 30 --k 4',
      'error: estimated 1.67e+11 objects exceeds budget 100000000; raise --budget to force'),
     ('enumerate --object partition --n 5 --budget 6',
@@ -363,13 +369,13 @@ USAGE_ERRORS = [
     ('verify --suite thm-1-5 --n-max 3 --k-max 0',
      'error: --suite thm-1-5 requires --k-max >= 1'),
     ('verify --suite thm-1-2 --n-max 80 --k-max 3',
-     'error: estimated 1.37e+12 objects exceeds budget 100000000; raise --budget to force'),
+     'error: estimated 2.42e+09 objects exceeds budget 100000000; raise --budget to force'),
     ('verify --suite thm-1-2 --n-max 500 --k-max 3',
-     'error: estimated 2.74e+28 objects exceeds budget 100000000; raise --budget to force'),
+     'error: estimated 7.94e+24 objects exceeds budget 100000000; raise --budget to force'),
     ('verify --suite thm-1-1 --n-max 40',
      'error: estimated 2.92e+08 objects exceeds budget 100000000; raise --budget to force'),
     ('verify --suite all --n-max 400',
-     'error: estimated 5.99e+25 objects exceeds budget 100000000; raise --budget to force'),
+     'error: estimated 1.65e+25 objects exceeds budget 100000000; raise --budget to force'),
     ('verify --suite psi --n-max 501',
      'error: estimated inf objects exceeds budget 100000000; raise --budget to force'),
     ('verify --suite psi --n-max 0 --budget 0',
@@ -377,11 +383,11 @@ USAGE_ERRORS = [
     ('verify --suite bijections --n-max 5 --budget 0',
      'error: estimated 34 objects exceeds budget 0; raise --budget to force'),
     ('verify --suite thm-1-5 --n-max 30 --k-max 3 --budget 10',
-     'error: estimated 7.31e+04 objects exceeds budget 10; raise --budget to force'),
+     'error: estimated 5.86e+04 objects exceeds budget 10; raise --budget to force'),
     ('verify --suite thm-1-5 --n-max 80',
-     'error: estimated 2.5e+08 objects exceeds budget 100000000; raise --budget to force'),
+     'error: estimated 2.47e+08 objects exceeds budget 100000000; raise --budget to force'),
     ('verify --suite all --budget 1000',
-     'error: estimated 5e+06 objects exceeds budget 1000; raise --budget to force'),
+     'error: estimated 1.81e+06 objects exceeds budget 1000; raise --budget to force'),
 ]
 
 
@@ -464,7 +470,20 @@ def test_budget_counts_match_enumerations():
     n_max = 14
     assert cli._partition_count_list(n_max) == [
         sum(1 for _ in combinat.enumerate_partitions(n)) for n in range(n_max + 1)]
-    assert cli._su_symbol_counts(n_max) == [0] + [
-        sum(1 for _ in combinat.enumerate_su_sequences(n)) for n in range(1, n_max + 1)]
-    assert cli._symmetric_symbol_counts(n_max) == [0] + [
-        len(combinat.enumerate_self_conjugate_symbols(n)) for n in range(1, n_max + 1)]
+    assert cli._symbol_counts(n_max, 1) == [[0] + [
+        sum(1 for _ in combinat.enumerate_su_sequences(n)) for n in range(1, n_max + 1)]]
+    assert cli._symbol_counts(n_max, 1, symmetric=True) == [[0] + [
+        len(combinat.enumerate_self_conjugate_symbols(n)) for n in range(1, n_max + 1)]]
+    # the ksu column is exact, also past the least k whose counts are all 0
+    # (a 6-marked symbol has size at least 21)
+    for k in range(1, 8):
+        assert cli._OBJECTS["ksu"][1](18, k) == [0] + [
+            sum(combinat.rank_census_marked_unimodal(n, k).values()) for n in range(1, 19)]
+    assert cli._symbol_counts(24, 4, symmetric=True) == [
+        [0] + [combinat.count_self_conjugate(n, k) for n in range(1, 25)]
+        for k in range(1, 5)]
+    # the kdurfee column is still an upper bound
+    for k in range(1, 4):
+        column = cli._OBJECTS["kdurfee"][1](n_max, k)
+        assert all(column[n] >= sum(combinat.rank_census_marked_durfee(n, k).values())
+                   for n in range(1, n_max + 1))

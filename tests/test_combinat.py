@@ -201,6 +201,14 @@ class TestMarkedDurfee:
         with pytest.raises(ValueError, match="marks not nonincreasing"):
             KMarkedDurfeeSymbol(((3, 1), (2, 2), (1, 1)), (), side=3, k=3)
 
+    def test_ascending_row_is_stored_descending(self):
+        # rows are sorted before they are checked, so no order is rejected
+        sym = KMarkedDurfeeSymbol(((1, 1), (2, 1), (2, 2), (3, 2)), ((1, 1), (3, 2)),
+                                  side=3, k=2)
+        assert sym.top == (MarkedPart(3, 2), MarkedPart(2, 2), MarkedPart(2, 1),
+                           MarkedPart(1, 1))
+        assert sym.bottom == (MarkedPart(3, 2), MarkedPart(1, 1))
+
     def test_k1_census_totals_partition_count(self):
         census = rank_census_marked_durfee(5, 1)
         assert sum(census.values()) == 7
