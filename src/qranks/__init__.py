@@ -41,6 +41,7 @@ from .combinat import (
     enumerate_partitions,
     enumerate_self_conjugate_symbols,
     enumerate_su_sequences,
+    marked_unimodal_counts,
     odd_parts_to_self_conjugate,
     rank_census_marked_durfee,
     rank_census_marked_unimodal,

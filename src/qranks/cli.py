@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import sys
 
 from . import combinat, genfun
@@ -76,13 +75,13 @@ def _csv_field(value) -> str:
 
 
 def _check_budget(budget: int, size: int, estimate) -> None:
-    """Refuse the run when ``estimate()`` objects exceed the budget; a size
-    beyond ``_ESTIMATOR_CAP`` is estimated as infinite without calling it."""
+    """Refuse the run when ``estimate()`` objects exceed the budget; past
+    ``_ESTIMATOR_CAP`` (uncalled) or float range the estimate shows as inf."""
     total = math.inf if size > _ESTIMATOR_CAP else estimate()
     if total > budget:
         raise UsageError(
-            f"estimated {total:.3g} objects exceeds budget {budget}; "
-            "raise --budget to force"
+            f"estimated {total if total <= sys.float_info.max else math.inf:.3g} "
+            f"objects exceeds budget {budget}; raise --budget to force"
         )
 
 
@@ -163,8 +162,7 @@ def cmd_series(args, out) -> int:
 
 
 # ----------------------------------------------------------------------
-# budget counts (exact for partitions and unimodal symbols; the kdurfee
-# column and the thm-1-5 partition term are documented upper bounds)
+# budget counts (partition and unimodal counts exact, the rest upper bounds)
 # ----------------------------------------------------------------------
 
 
@@ -176,33 +174,15 @@ def _partition_count_list(n_max: int) -> list[int]:
     return counts
 
 
-def _symbol_counts(n_max: int, k_max: int, symmetric: bool = False) -> list[list[int]]:
-    """counts[k - 1][n]: the k-marked strongly unimodal symbols of size n,
-    [z^(k-1) q^n] of the sum over peaks of q^peak prod_(p<peak)
-    (1+q^p)(1+(1+z)q^p).  A value below the peak is in the bottom row or
-    not (1+q^p), and in the top row, free or as one of the marked
-    M_1 < ... < M_(k-1), or not (1+(1+z)q^p).  With ``symmetric``, the
-    symbols whose two rows coincide: prod_(p<peak) (1+(1+z)q^(2p)).
-
-    The rows stop at the first k whose counts are all 0, which then serves
-    every larger k: a k-marked symbol has size at least 1+2+...+k."""
-    marks = min(k_max, (math.isqrt(8 * n_max + 1) - 1) // 2 + 1)
-    table = [[1] + [0] * n_max] + [[0] * (n_max + 1) for _ in range(marks - 1)]
-    counts = [[0] * (n_max + 1) for _ in range(marks)]
-    for peak in range(1, n_max + 1):
-        for total, row in zip(counts, table):
-            total[peak:] = map(operator.add, total[peak:], row)
-        # 0/1 knapsack steps, c descending so that table[c - 1] is the old
-        # row; sizes above `top` are left stale, as no larger peak reads them
-        top = n_max - peak
-        for value, marked in ((2 * peak, True),) if symmetric else (
-                (peak, False), (peak, True)):
-            for c in range(marks - 1, -1, -1):
-                row, added = table[c], table[c][:top + 1 - value]
-                if marked and c:
-                    added = map(operator.add, added, table[c - 1])
-                row[value:top + 1] = map(operator.add, row[value:top + 1], added)
-    return counts
+def _durfee_bounds(n_max: int, k_max: int) -> list[list[int]]:
+    """bounds[k - 1][n]: p(n) C(n+k-1, k-1)^2 (a partition, each row marked
+    nonincreasingly) from size k on, the least size side^2 + k - 1 allows,
+    else 0; rows stop at k = n_max + 1, all 0, which serves every larger k."""
+    partitions, choices, bounds = _partition_count_list(n_max), [1] * (n_max + 1), []
+    for k in range(1, min(k_max, n_max + 1) + 1):  # choices[n] = C(n+k-1, k-1)
+        bounds.append([0] * k + [p * c * c for p, c in zip(partitions[k:], choices[k:])])
+        choices = [c * (n + k) // k for n, c in enumerate(choices)]
+    return bounds
 
 
 # ----------------------------------------------------------------------
@@ -220,17 +200,17 @@ _OBJECTS = {
     "su-seq": (
         lambda n, k: (([combinat.su_rank(seq)], seq.render())
                       for seq in combinat.enumerate_su_sequences(n)),
-        lambda n_max, k: _symbol_counts(n_max, 1)[0], False, 1, "this object"),
+        lambda n_max, k: combinat.marked_unimodal_counts(n_max, 1)[0], False, 1,
+        "this object"),
     "kdurfee": (
         lambda n, k: ((list(combinat.durfee_ranks(sym)), sym.render())
                       for sym in combinat.enumerate_marked_durfee(n, k)),
-        lambda n_max, k: [c * math.comb(n + k - 1, k - 1) ** 2
-                          for n, c in enumerate(_partition_count_list(n_max))],
-        True, 1, "this object"),
+        lambda n_max, k: _durfee_bounds(n_max, k)[-1], True, 1, "this object"),
     "ksu": (
         lambda n, k: ((list(combinat.unimodal_ranks(sym)), sym.render())
                       for sym in combinat.enumerate_marked_unimodal(n, k)),
-        lambda n_max, k: _symbol_counts(n_max, k)[-1], True, 1, "this object"),
+        lambda n_max, k: combinat.marked_unimodal_counts(n_max, k)[-1], True, 1,
+        "this object"),
 }
 
 
@@ -341,12 +321,11 @@ def _cells_bijections(n_max: int):
 
 def _thm15_estimate(n_max: int, k_max: int) -> int:
     """The marked symmetric symbols that `combinat.count_self_conjugate`
-    counts for 2 <= k <= k_max, exactly, plus a bound on the decorated
-    odd-part configurations that `combinat.count_even_part_parity` counts
-    for each k: each is one partition of its size (its odd parts and its
-    even decoration)."""
-    return (sum(map(sum, _symbol_counts(n_max, k_max, symmetric=True)[1:]))
-            + (k_max - 1) * sum(_partition_count_list(n_max)[1:]))
+    counts for 2 <= k <= k_max, exactly, plus one partition of each size per
+    k for the decorated odd-part configurations (odd parts and even
+    decoration) that `combinat.count_even_part_parity` counts."""
+    marked = combinat.marked_unimodal_counts(n_max, k_max, symmetric=True)[1:]
+    return sum(map(sum, marked)) + (k_max - 1) * sum(_partition_count_list(n_max)[1:])
 
 
 # suite: (cells(n_max, k_max), default n_max, default k_max,
@@ -354,18 +333,18 @@ def _thm15_estimate(n_max: int, k_max: int) -> int:
 _SUITES = {
     "thm-1-2": (lambda n_max, k_max: _cells_census(
         genfun.marked_unimodal_rank_series, combinat.rank_census_marked_unimodal,
-        n_max, k_max), 22, 3,
-        lambda n_max, k_max: sum(map(sum, _symbol_counts(n_max, k_max)))),
+        n_max, k_max), 22, 3, lambda n_max, k_max: sum(
+            map(sum, combinat.marked_unimodal_counts(n_max, k_max)))),
     "thm-1-1": (lambda n_max, k_max: _cells_census(
         genfun.marked_durfee_rank_series, combinat.rank_census_marked_durfee,
-        n_max, k_max), 18, 2, lambda n_max, k_max: sum(
-            sum(_OBJECTS["kdurfee"][1](n_max, k)[1:]) for k in range(1, k_max + 1))),
+        n_max, k_max), 18, 2,
+        lambda n_max, k_max: sum(map(sum, _durfee_bounds(n_max, k_max)))),
     "thm-1-5": (_cells_thm15, 30, 3, _thm15_estimate),
     "psi": (lambda n_max, k_max: _cells_psi(n_max), 50, None,
             lambda n_max, k_max: sum(_partition_count_list(n_max))),
     "bijections": (lambda n_max, k_max: _cells_bijections(n_max), 20, None,
                    lambda n_max, k_max: sum(_partition_count_list(n_max))
-                   + sum(_symbol_counts(n_max, 1)[0])),
+                   + sum(combinat.marked_unimodal_counts(n_max, 1)[0])),
 }
 
 

@@ -18,9 +18,9 @@ both families from those pools, without listing a marking the rules
 reject.  One validator, :func:`_marked_violation`, states the rules of
 both families, and each frozen class runs it on every symbol built.  No
 census or count builds a marked symbol: :func:`_marked_census` walks the
-same pools and counts their free parts by size and rank, and
-:func:`count_self_conjugate` weights the rows of the plain symmetric
-symbols by their markings.  Nothing is cached: every census and
+same pools and counts their free parts by size and rank, and one knapsack
+over the peaks, :func:`marked_unimodal_counts`, counts the marked unimodal
+and the marked symmetric symbols.  Nothing is cached: every census and
 ``count_*`` recounts when called, and the unmarked ones tally their
 listing.  None of this is shared with :mod:`qranks.genfun`, whose index
 enumerator is the other side of every verified identity.
@@ -28,9 +28,10 @@ enumerator is the other side of every verified identity.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from math import isqrt
 from typing import Iterator, NamedTuple
 
 RankVector = tuple[int, ...]
@@ -653,6 +654,37 @@ def count_marked_unimodal(ranks: RankVector, n: int, k: int) -> int:
     return rank_census_marked_unimodal(n, k).get(tuple(ranks), 0)
 
 
+def marked_unimodal_counts(n_max: int, k_max: int,
+                           symmetric: bool = False) -> list[list[int]]:
+    """counts[k - 1][n]: the k-marked strongly unimodal symbols of size n,
+    [z^(k-1) q^n] of the sum over peaks of q^peak prod_(p<peak)
+    (1+q^p)(1+(1+z)q^p).  A value below the peak is in the bottom row or
+    not (1+q^p), and in the top row, free or as one of the marked
+    M_1 < ... < M_(k-1), or not (1+(1+z)q^p).  With ``symmetric``, the
+    symbols whose two rows coincide, where the marks of the one row obey
+    the interval rules on both: prod_(p<peak) (1+(1+z)q^(2p)).
+
+    The rows stop at the first k whose counts are all 0, which then serves
+    every larger k: a k-marked symbol has size at least 1+2+...+k."""
+    marks = min(k_max, (isqrt(8 * n_max + 1) - 1) // 2 + 1)
+    table = [[1] + [0] * n_max] + [[0] * (n_max + 1) for _ in range(marks - 1)]
+    counts = [[0] * (n_max + 1) for _ in range(marks)]
+    for peak in range(1, n_max + 1):
+        for total, row in zip(counts, table):
+            total[peak:] = map(operator.add, total[peak:], row)
+        # 0/1 knapsack steps, c descending so that table[c - 1] is the old
+        # row; sizes above `top` are left stale, as no larger peak reads them
+        top = n_max - peak
+        for value, marked in ((2 * peak, True),) if symmetric else (
+                (peak, False), (peak, True)):
+            for c in range(marks - 1, -1, -1):
+                row, added = table[c], table[c][:top + 1 - value]
+                if marked and c:
+                    added = map(operator.add, added, table[c - 1])
+                row[value:top + 1] = map(operator.add, row[value:top + 1], added)
+    return counts
+
+
 def rank_census_marked_durfee(n: int, k: int) -> dict[RankVector, int]:
     """Map rank vector -> number of k-marked Durfee symbols of n, in
     ascending key order; counted by :func:`_marked_census`, not listed."""
@@ -676,18 +708,11 @@ def count_marked_durfee(ranks: RankVector, n: int, k: int) -> int:
 
 
 def count_self_conjugate(n: int, k: int) -> int:
-    """Number of k-marked unimodal symbols of n whose rows are identical.
-
-    Such a symbol is a plain symmetric one, a peak M with n - M even and one
-    strict row of (n - M)/2 below M written twice, whose row is marked.
-    Marks are nonincreasing down the row and 1..k-1 each occur, so they cut
-    a row of L parts into blocks of marks k (possibly empty), k-1, ..., 1
-    (each nonempty): C(L, k-1) markings, under which the interval rules
-    hold on both rows.  No symbol is built.
-    """
+    """Number of k-marked unimodal symbols of n whose rows are identical:
+    the symmetric table of :func:`marked_unimodal_counts`, in which a row of
+    L parts takes C(L, k-1) markings.  No symbol is built."""
     _check_marked(n, k)
-    return sum(comb(len(row), k - 1) for peak in range(n, 0, -2)
-               for row in _parts((n - peak) // 2, peak - 1, strict=True))
+    return marked_unimodal_counts(n, k, symmetric=True)[-1][n]
 
 
 def enumerate_self_conjugate_symbols(n: int) -> list[SUSymbol]:

@@ -147,13 +147,6 @@ class LaurentCoefficient:
         _add_product(product, self.terms, other.terms)
         return LaurentCoefficient(self.var_count, product)
 
-    def scaled(self, factor: int) -> LaurentCoefficient:
-        if factor == 0:
-            return LaurentCoefficient.zero(self.var_count)
-        return LaurentCoefficient(
-            self.var_count, {exps: factor * value for exps, value in self.terms.items()}
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentCoefficient):
             return NotImplemented

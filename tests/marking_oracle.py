@@ -8,6 +8,11 @@ else sorted by (side or peak, top, bottom).  It shares the plain
 enumerators and the validators with the library, but not the
 profile-and-pool construction it checks.
 
+The marking weight reaches larger n and k for the self-conjugate count:
+it lists the plain symmetric symbols and weights each row of L parts by
+its C(L, k-1) markings, where the library counts them with a knapsack
+over the peaks.
+
 The decoration recursion is the reference for
 :func:`qranks.combinat.count_even_part_parity`: it lists every marked even
 decoration of every complete odd partition one by one, where the library
@@ -15,6 +20,7 @@ counts them with tables.
 """
 
 from itertools import combinations_with_replacement
+from math import comb
 
 from qranks.combinat import (
     KMarkedDurfeeSymbol,
@@ -22,6 +28,7 @@ from qranks.combinat import (
     durfee_decompose,
     enumerate_complete_odd_partitions,
     enumerate_partitions,
+    enumerate_self_conjugate_symbols,
     enumerate_su_sequences,
     su_symbol,
 )
@@ -70,6 +77,12 @@ def unimodal_by_filter(n, k):
 def self_conjugate_by_filter(n, k):
     """Number of k-marked unimodal symbols of n with identical rows."""
     return sum(1 for s in unimodal_by_filter(n, k) if s.top == s.bottom)
+
+
+def self_conjugate_by_markings(n, k):
+    """The same count, with each listed plain symmetric symbol weighted by
+    its C(L, k-1) markings (L the parts of its row)."""
+    return sum(comb(len(s.top), k - 1) for s in enumerate_self_conjugate_symbols(n))
 
 
 def even_part_parity_by_recursion(n, k):

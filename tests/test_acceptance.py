@@ -117,6 +117,20 @@ def test_criterion_3_at_scale():
         assert time.monotonic() - started < 30
 
 
+def test_criterion_3_at_scale_n80():
+    with criterion("3 at scale (qranks verify thm-1-5 cells, k<=3, n<=80)"):
+        started = time.monotonic()
+        out = io.StringIO()
+        # the estimate (2.47e8) bounds the decorations by partitions, so the
+        # default budget refuses it
+        argv = ["verify", "--suite", "thm-1-5", "--k-max", "3", "--n-max", "80",
+                "--budget", str(10 ** 9)]
+        with redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert out.getvalue().splitlines()[-1] == "summary: 160 cells, 160 passed, 0 failed"
+        assert time.monotonic() - started < 30
+
+
 def test_criterion_4_psi_forms_and_bijection():
     with criterion("4 (psi three ways to q^50; self-conjugate bijection, n<=20)"):
         theta = genfun.mock_theta_psi(50, "theta")

@@ -3,8 +3,10 @@
 import argparse
 import hashlib
 import json
+import math
 
 import pytest
+from marking_oracle import self_conjugate_by_markings
 
 from qranks import cli, combinat, genfun
 
@@ -388,6 +390,14 @@ USAGE_ERRORS = [
      'error: estimated 2.47e+08 objects exceeds budget 100000000; raise --budget to force'),
     ('verify --suite all --budget 1000',
      'error: estimated 1.81e+06 objects exceeds budget 1000; raise --budget to force'),
+    # estimates past float range print as inf, like sizes past the cap
+    ('enumerate --object kdurfee --n 500 --k 500',
+     'error: estimated inf objects exceeds budget 100000000; raise --budget to force'),
+    ('verify --suite thm-1-1 --n-max 300 --k-max 300',
+     'error: estimated inf objects exceeds budget 100000000; raise --budget to force'),
+    # the kdurfee bounds are 0 below size k, so k past n_max adds nothing
+    ('verify --suite thm-1-1 --n-max 20 --k-max 100000 --budget 1',
+     'error: estimated 4.1e+24 objects exceeds budget 1; raise --budget to force'),
 ]
 
 
@@ -470,20 +480,32 @@ def test_budget_counts_match_enumerations():
     n_max = 14
     assert cli._partition_count_list(n_max) == [
         sum(1 for _ in combinat.enumerate_partitions(n)) for n in range(n_max + 1)]
-    assert cli._symbol_counts(n_max, 1) == [[0] + [
+    assert combinat.marked_unimodal_counts(n_max, 1) == [[0] + [
         sum(1 for _ in combinat.enumerate_su_sequences(n)) for n in range(1, n_max + 1)]]
-    assert cli._symbol_counts(n_max, 1, symmetric=True) == [[0] + [
-        len(combinat.enumerate_self_conjugate_symbols(n)) for n in range(1, n_max + 1)]]
     # the ksu column is exact, also past the least k whose counts are all 0
     # (a 6-marked symbol has size at least 21)
     for k in range(1, 8):
         assert cli._OBJECTS["ksu"][1](18, k) == [0] + [
             sum(combinat.rank_census_marked_unimodal(n, k).values()) for n in range(1, 19)]
-    assert cli._symbol_counts(24, 4, symmetric=True) == [
-        [0] + [combinat.count_self_conjugate(n, k) for n in range(1, 25)]
-        for k in range(1, 5)]
-    # the kdurfee column is still an upper bound
+    # the symmetric rows against the listed plain symmetric symbols, each
+    # weighted by its markings
+    assert combinat.marked_unimodal_counts(40, 5, symmetric=True) == [
+        [0] + [self_conjugate_by_markings(n, k) for n in range(1, 41)]
+        for k in range(1, 6)]
+    # the kdurfee column is p(n) C(n+k-1, k-1)^2 from size k on, and 0
+    # below it, also past the first k whose bounds are all 0
+    partitions = cli._partition_count_list(n_max)
+    for k in range(1, n_max + 4):
+        assert cli._OBJECTS["kdurfee"][1](n_max, k) == [
+            partitions[n] * math.comb(n + k - 1, k - 1) ** 2 if n >= k else 0
+            for n in range(n_max + 1)]
+    # and still an upper bound
     for k in range(1, 4):
         column = cli._OBJECTS["kdurfee"][1](n_max, k)
         assert all(column[n] >= sum(combinat.rank_census_marked_durfee(n, k).values())
                    for n in range(1, n_max + 1))
+
+
+def test_thm_1_1_estimate_stops_at_the_first_zero_row():
+    estimate = cli._SUITES["thm-1-1"][3]
+    assert estimate(20, 10 ** 5) == estimate(20, 21) == estimate(20, 20)

@@ -11,6 +11,7 @@ from marking_oracle import (
     durfee_by_filter,
     even_part_parity_by_recursion,
     self_conjugate_by_filter,
+    self_conjugate_by_markings,
     unimodal_by_filter,
 )
 
@@ -406,6 +407,12 @@ class TestSelfConjugate:
                 assert count_self_conjugate(n, k) == self_conjugate_by_filter(n, k), (n, k)
         for n in range(1, 17):
             assert count_self_conjugate(n, 4) == self_conjugate_by_filter(n, 4), n
+
+    def test_against_marking_weights(self):
+        # k up to 10 covers the all-0 rows past the most marks n can hold
+        for n in range(1, 31):
+            for k in range(1, 11):
+                assert count_self_conjugate(n, k) == self_conjugate_by_markings(n, k), (n, k)
 
     def test_matches_complete_odd_partitions(self):
         for n in range(1, 31):

@@ -54,7 +54,7 @@ def test_combinat_shares_no_code_with_the_series_side():
 
 
 COUNTS = ("count_self_conjugate", "count_even_part_parity", "rank_census_marked_unimodal",
-          "rank_census_marked_durfee", "_marked_census")
+          "rank_census_marked_durfee", "_marked_census", "marked_unimodal_counts")
 
 
 @pytest.mark.parametrize("count", COUNTS)
