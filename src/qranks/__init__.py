@@ -41,6 +41,8 @@ from .combinat import (
     enumerate_partitions,
     enumerate_self_conjugate_symbols,
     enumerate_su_sequences,
+    marked_durfee_censuses,
+    marked_unimodal_censuses,
     marked_unimodal_counts,
     odd_parts_to_self_conjugate,
     rank_census_marked_durfee,

@@ -76,13 +76,14 @@ def _csv_field(value) -> str:
 
 def _check_budget(budget: int, size: int, estimate) -> None:
     """Refuse the run when ``estimate()`` objects exceed the budget; past
-    ``_ESTIMATOR_CAP`` (uncalled) or float range the estimate shows as inf."""
+    float range, or uncalled past ``_ESTIMATOR_CAP``, it shows as inf."""
     total = math.inf if size > _ESTIMATOR_CAP else estimate()
     if total > budget:
         raise UsageError(
             f"estimated {total if total <= sys.float_info.max else math.inf:.3g} "
-            f"objects exceeds budget {budget}; raise --budget to force"
-        )
+            f"objects exceeds budget {budget}; " + (
+                f"sizes above {_ESTIMATOR_CAP} are refused whatever the budget"
+                if size > _ESTIMATOR_CAP else "raise --budget to force"))
 
 
 # ----------------------------------------------------------------------
@@ -242,8 +243,7 @@ def _first_census_mismatch(series_terms, census) -> str | None:
     if series_terms == census:
         return None
     for key in sorted(set(series_terms) | set(census)):
-        a = series_terms.get(key, 0)
-        b = census.get(key, 0)
+        a, b = series_terms.get(key, 0), census.get(key, 0)
         if a != b:
             return f"ranks={key}: series {a} != census {b}"
     return "coefficient sets differ"
@@ -264,12 +264,12 @@ def _first_broken(objects, round_trip, called: str) -> str | None:
     return None
 
 
-def _cells_census(build, census, n_max: int, k_max: int):
-    """Each q^n coefficient of build(k, n_max) against census(n, k)."""
+def _cells_census(build, censuses, n_max: int, k_max: int):
+    """Each q^n coefficient of build(k, n_max) against censuses(n_max, k)[n]."""
     for k in range(1, k_max + 1):
-        series = build(k, n_max)
+        series, census = build(k, n_max), censuses(n_max, k)
         for n in range(1, n_max + 1):
-            detail = _first_census_mismatch(series.coeffs[n].terms, census(n, k))
+            detail = _first_census_mismatch(series.coeffs[n].terms, census[n])
             yield {"k": k, "n": n}, detail
 
 
@@ -332,11 +332,11 @@ def _thm15_estimate(n_max: int, k_max: int) -> int:
 #         budget estimate(n_max, k_max)), in `--suite all` order
 _SUITES = {
     "thm-1-2": (lambda n_max, k_max: _cells_census(
-        genfun.marked_unimodal_rank_series, combinat.rank_census_marked_unimodal,
+        genfun.marked_unimodal_rank_series, combinat.marked_unimodal_censuses,
         n_max, k_max), 22, 3, lambda n_max, k_max: sum(
             map(sum, combinat.marked_unimodal_counts(n_max, k_max)))),
     "thm-1-1": (lambda n_max, k_max: _cells_census(
-        genfun.marked_durfee_rank_series, combinat.rank_census_marked_durfee,
+        genfun.marked_durfee_rank_series, combinat.marked_durfee_censuses,
         n_max, k_max), 18, 2,
         lambda n_max, k_max: sum(map(sum, _durfee_bounds(n_max, k_max)))),
     "thm-1-5": (_cells_thm15, 30, 3, _thm15_estimate),

@@ -10,20 +10,14 @@ All enumerations are exhaustive, duplicate-free and returned in a documented
 canonical order so they can serve as oracles for the generating functions in
 :mod:`qranks.genfun`.  Everything is exact integer combinatorics.
 
-One parts enumerator, :func:`_parts`, lists every row, partition and
-largest-marked-part profile, and one profile walk, :func:`_profiles`, sets
-the (mark, lo, hi) pools of every marked symbol.  One pool filler,
-:func:`_marked_rows`, assigns every mark: it builds the marked symbols of
-both families from those pools, without listing a marking the rules
-reject.  One validator, :func:`_marked_violation`, states the rules of
-both families, and each frozen class runs it on every symbol built.  No
-census or count builds a marked symbol: :func:`_marked_census` walks the
-same pools and counts their free parts by size and rank, and one knapsack
-over the peaks, :func:`marked_unimodal_counts`, counts the marked unimodal
-and the marked symmetric symbols.  Nothing is cached: every census and
-``count_*`` recounts when called, and the unmarked ones tally their
-listing.  None of this is shared with :mod:`qranks.genfun`, whose index
-enumerator is the other side of every verified identity.
+One parts enumerator, :func:`_parts`, lists every row and partition, and one
+pool filler, :func:`_marked_rows`, builds the marked symbols of both
+families, which :func:`_marked_violation` validates.  No census or count
+builds one: two walks up the part values, :func:`marked_durfee_censuses`
+and :func:`marked_unimodal_censuses`, count them by size and rank vector
+and share no code with the listing, and one knapsack over the peaks,
+:func:`marked_unimodal_counts`, counts the marked unimodal and symmetric
+symbols.  Nothing is cached, and nothing is shared with :mod:`qranks.genfun`.
 """
 
 from __future__ import annotations
@@ -490,116 +484,120 @@ def unimodal_ranks(sym: KMarkedSUSymbol) -> RankVector:
     return _ranks_from_rows(sym.top, sym.bottom, sym.k)
 
 
-def _profiles(n: int, k: int, strict: bool):
-    """Yield (profile, pools, budget) for every largest-marked-part profile
-    of a k-marked symbol of size n.
+def _marked_rows(n: int, k: int, strict: bool):
+    """Yield (top, bottom, M_k) for every k-marked symbol of size n, which
+    the caller's frozen class validates; the only code that assigns marks.
 
-    A symbol is fixed by its profile M_1..M_k, where M_j (j < k) is the
-    largest mark-j part of the top row and M_k is the Durfee side or the
-    peak, plus free parts taken from (mark, lo, hi) pools set by the
-    profile: the k top-row pools, then the k bottom-row pools.  Durfee
-    symbols (weak) have M_1 <= ... <= M_(k-1) <= side, cost side^2 plus
-    their parts, and both rows draw mark j from [M_(j-1), M_j] (M_0 = 1).
-    Unimodal symbols (``strict``) have M_1 < ... < M_k = peak; the top row
-    draws mark j from [M_(j-1)+1, M_j-1] and the bottom row from
-    [M_(j-1)+1, M_j], or [M_(k-1)+1, peak-1] for mark k (M_0 = 0).  The
-    budget is what the free parts must add up to; the ordering rules put
-    every symbol in exactly one profile and filling.
+    A symbol is its profile M_1..M_k (M_j the largest mark-j top part for
+    j < k, M_k the side or peak) plus free parts, which :func:`_parts` fills
+    into (mark, lo, hi) pools, top row then bottom row.  Durfee symbols have
+    M_1 <= ... <= side, cost side^2 plus their parts, and draw mark j from
+    [M_(j-1), M_j] (M_0 = 1).  Unimodal ones (``strict``) have M_1 < ... <
+    M_k = peak and draw top mark j from [M_(j-1)+1, M_j-1], bottom mark j
+    from [M_(j-1)+1, M_j] or, for j = k, [M_(k-1)+1, peak-1] (M_0 = 0).
     """
     marks = range(1, k + 1)
     for last in range(1, n + 1):
         room = n - (last if strict else last * last)
-        if room < 0:
-            break
         for size in range(room + 1):
             for below in _parts(size, last - strict, strict=strict, length=k - 1):
-                profile = below[::-1] + (last,)
+                profile, budget = below[::-1] + (last,), room - size
                 lows = (1,) + tuple(m + strict for m in profile[:-1])
                 pools = [(j, lo, hi - strict) for j, lo, hi in zip(marks, lows, profile)]
                 pools += [(j, lo, hi - (strict and j == k))
                           for j, lo, hi in zip(marks, lows, profile)]
-                yield profile, pools, room - size
+                forced = tuple(map(MarkedPart, profile[:-1], range(1, k)))
+                # list every pool but the last once, pruned to the budget; the
+                # last pool takes exactly what is left
+                *head, (mark, lo, hi) = pools
+                partial = [((), budget)]
+                for j, lo_j, hi_j in head:
+                    listed = [(s, tuple(MarkedPart(v, j) for v in values))
+                              for s in range(budget + 1)
+                              for values in _parts(s, hi_j, lo_j, strict)]
+                    partial = [(chosen + (piece,), left - s)
+                               for chosen, left in partial
+                               for s, piece in listed if s <= left]
+                for chosen, left in partial:
+                    for values in _parts(left, hi, lo, strict):
+                        filled = chosen + (tuple(MarkedPart(v, mark) for v in values),)
+                        yield (forced + sum(filled[:k], ()), sum(filled[k:], ()),
+                               profile[-1])
 
 
-def _marked_rows(n: int, k: int, strict: bool):
-    """Yield (top, bottom, M_k) for every k-marked symbol of size n; the only
-    code that assigns marks.
+def _moved(target: dict, tally: dict, step: int | None) -> None:
+    """Add ``tally`` to ``target``, last rank moved by ``step`` (None: 0 appended)."""
+    for ranks, count in tally.items():
+        key = ranks + (0,) if step is None else ranks[:-1] + (ranks[-1] + step,)
+        target[key] = target.get(key, 0) + count
 
-    Each profile of :func:`_profiles` puts M_j with mark j in the top row
-    (j < k) and fills its pools with :func:`_parts`.  The caller's frozen
-    class still validates each symbol.
+
+def _walk_start(n_max: int, k: int, least: int):
+    """Empty censuses and the blocks of a value walk: blocks[j - 1][s] maps
+    ranks r_1..r_j to the count of symbols with mark j open and rows of size
+    s.  Mark 1 opens on empty rows; None, with no row built, below least."""
+    _check_marked(n_max, k, least=0, name="n_max")
+    censuses = [Counter() for _ in range(n_max + 1)]
+    if least > n_max:
+        return censuses, None
+    blocks = [[{} for _ in range(n_max + 1)] for _ in range(k)]
+    blocks[0][0][(0,)] = 1
+    return censuses, blocks
+
+
+def marked_durfee_censuses(n_max: int, k: int) -> list[dict[RankVector, int]]:
+    """censuses[n]: rank vector -> number of k-marked Durfee symbols of n,
+    keys ascending, for every n <= n_max, from one walk up the part values v.
+
+    At v, mark j takes any number of bottom parts v (- 1 to rank j) and of
+    free top parts v (+ 1), then may close with its forced top part M_j = v,
+    which adds no rank and opens mark j + 1 at the same v.  Mark k is
+    emitted with side v.
     """
-    for profile, pools, budget in _profiles(n, k, strict):
-        forced = tuple(map(MarkedPart, profile[:-1], range(1, k)))
-        # list every pool but the last once, pruned to the budget; the last
-        # pool takes exactly what is left
-        *head, (mark, lo, hi) = pools
-        partial = [((), budget)]
-        for j, lo_j, hi_j in head:
-            listed = [(s, tuple(MarkedPart(v, j) for v in values))
-                      for s in range(budget + 1)
-                      for values in _parts(s, hi_j, lo_j, strict)]
-            partial = [(chosen + (piece,), left - s)
-                       for chosen, left in partial
-                       for s, piece in listed if s <= left]
-        for chosen, left in partial:
-            for values in _parts(left, hi, lo, strict):
-                filled = chosen + (tuple(MarkedPart(v, mark) for v in values),)
-                yield forced + sum(filled[:k], ()), sum(filled[k:], ()), profile[-1]
+    censuses, blocks = _walk_start(n_max, k, least=k)
+    for v in range(1, isqrt(n_max) + 1) if blocks else ():
+        room = n_max - v * v
+        for j, block in enumerate(blocks, 1):
+            for step in (-1, 1):  # s ascending: v joins as often as it fits
+                for s in range(v, room + 1):
+                    _moved(block[s], block[s - v], step)
+            if j < k:
+                for s in range(room + 1 - v):
+                    _moved(blocks[j][s + v], block[s], None)
+        for s in range(room + 1):
+            censuses[s + v * v].update(blocks[-1][s])
+    return [dict(sorted(census.items())) for census in censuses]
 
 
-def _rank_tallies(top, bottom, strict: bool, budget: int) -> list[dict[int, int]]:
-    """tallies[s][r]: the ways to fill one mark's top and bottom (mark, lo,
-    hi) pools with free parts of total s <= budget, by r = top count minus
-    bottom count.  Each value joins once (``strict``) or any number of
-    times; a top part adds 1 to r and a bottom part takes 1 off."""
-    tallies = [{} for _ in range(budget + 1)]
-    tallies[0][0] = 1
-    for (_, lo, hi), step in ((top, 1), (bottom, -1)):
-        for value in range(lo, min(hi, budget) + 1):
-            # walking s down adds the value at most once, walking up as often as it fits
-            for s in (range(budget, value - 1, -1) if strict else range(value, budget + 1)):
-                row = tallies[s]
-                for r, count in tallies[s - value].items():
-                    row[r + step] = row.get(r + step, 0) + count
-    return tallies
+def marked_unimodal_censuses(n_max: int, k: int) -> list[dict[RankVector, int]]:
+    """censuses[n]: rank vector -> number of k-marked strongly unimodal
+    symbols of n, keys ascending, for every n <= n_max, from one walk up the
+    part values v.
 
-
-def _marked_census(n: int, k: int, strict: bool) -> dict[RankVector, int]:
-    """Map rank vector -> number of k-marked symbols of size n, Durfee
-    symbols or (``strict``) unimodal ones, counted without building one.
-
-    It walks the profiles and pools of :func:`_profiles`, as
-    :func:`_marked_rows` does.  Rank j is the mark-j top length minus the
-    bottom length, less 1 for j < k; the forced top part M_j cancels that
-    1, so rank j is the free top count minus the bottom count, which
-    :func:`_rank_tallies` counts by size.  The k marks are combined by size
-    into rank vectors, and each profile adds those at exactly its budget.
-    Keys are in ascending order.
+    At v, mark k is first emitted with peak v.  Then mark j = k, ..., 1
+    takes at most one bottom part v (- 1 to rank j) and at most one top part
+    v, free (+ 1) or its forced M_j (j < k), which opens mark j + 1 above v.
     """
-    census = Counter()
-    for _, pools, budget in _profiles(n, k, strict):
-        vectors = [{(): 1}] + [{} for _ in range(budget)]  # by size: rank prefix -> count
-        for j, (top, bottom) in enumerate(zip(pools[:k], pools[k:]), 1):
-            tallies = _rank_tallies(top, bottom, strict, budget)
-            combined = [{} for _ in range(budget + 1)]
-            for s, prefixes in enumerate(vectors):
-                for prefix, c in prefixes.items():
-                    # after the last mark only the budget itself is read
-                    for t in range(budget - s if j == k else 0, budget + 1 - s):
-                        row = combined[s + t]
-                        for r, count in tallies[t].items():
-                            key = prefix + (r,)
-                            row[key] = row.get(key, 0) + c * count
-            vectors = combined
-        census.update(vectors[budget])
-    return dict(sorted(census.items()))
+    censuses, blocks = _walk_start(n_max, k, least=k * (k + 1) // 2)
+    for v in range(1, n_max + 1) if blocks else ():
+        for s in range(n_max - v + 1):
+            censuses[s + v].update(blocks[-1][s])
+        room = n_max - v - 1  # a larger peak is still to come
+        for j in range(k, 0, -1):
+            block = blocks[j - 1]
+            for s in range(room - v, -1, -1):  # s descending: v joins at most once
+                _moved(block[s + v], block[s], -1)
+            for s in range(room - v, -1, -1):
+                _moved(block[s + v], block[s], 1)
+                if j < k:
+                    _moved(blocks[j][s + v], block[s], None)
+    return [dict(sorted(census.items())) for census in censuses]
 
 
-def _check_marked(n: int, k: int) -> None:
+def _check_marked(n: int, k: int, least: int = 1, name: str = "n") -> None:
     """The size and mark-count checks of every marked-symbol listing and count."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}")
     if k < 1:
         raise ValueError("k must be >= 1")
 
@@ -638,10 +636,10 @@ def enumerate_marked_unimodal(n: int, k: int) -> list[KMarkedSUSymbol]:
 
 
 def rank_census_marked_unimodal(n: int, k: int) -> dict[RankVector, int]:
-    """Map rank vector -> number of k-marked unimodal symbols of n, in
-    ascending key order; counted by :func:`_marked_census`, not listed."""
+    """Map rank vector -> number of k-marked unimodal symbols of n, in ascending
+    key order: size n of the value walk :func:`marked_unimodal_censuses`."""
     _check_marked(n, k)
-    return _marked_census(n, k, strict=True)
+    return marked_unimodal_censuses(n, k)[n]
 
 
 def count_marked_unimodal(ranks: RankVector, n: int, k: int) -> int:
@@ -686,10 +684,10 @@ def marked_unimodal_counts(n_max: int, k_max: int,
 
 
 def rank_census_marked_durfee(n: int, k: int) -> dict[RankVector, int]:
-    """Map rank vector -> number of k-marked Durfee symbols of n, in
-    ascending key order; counted by :func:`_marked_census`, not listed."""
+    """Map rank vector -> number of k-marked Durfee symbols of n, in ascending
+    key order: size n of the value walk :func:`marked_durfee_censuses`."""
     _check_marked(n, k)
-    return _marked_census(n, k, strict=False)
+    return marked_durfee_censuses(n, k)[n]
 
 
 def count_marked_durfee(ranks: RankVector, n: int, k: int) -> int:

@@ -61,6 +61,19 @@ def test_criterion_1_at_scale_thm_1_2_cells():
         assert time.monotonic() - started < 30
 
 
+
+def test_criterion_1_at_scale_n100():
+    with criterion("1 at scale n100 (qranks verify thm-1-2 cells, k<=3, n<=100)"):
+        started = time.monotonic()
+        out = io.StringIO()
+        # the default budget refuses it (estimate 4.23e10 against 1e8)
+        argv = ["verify", "--suite", "thm-1-2", "--k-max", "3", "--n-max", "100",
+                "--budget", str(10 ** 11)]
+        with redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert out.getvalue().splitlines()[-1] == "summary: 300 cells, 300 passed, 0 failed"
+        assert time.monotonic() - started < 60
+
 def test_criterion_2_marked_durfee_series_equals_census():
     with criterion("2 (k-marked Durfee rank series vs census vs listing, k<=2, n<=18)"):
         started = time.monotonic()

@@ -280,7 +280,7 @@ class TestVerifyCommand:
           "signed parity difference=0"]),
         # the series has {(0,): 1} at n = 1 and at n = 2; the first differing
         # rank vector is reported, one the series lacks counting as 0
-        ({"rank_census_marked_unimodal": lambda n, k: {(0,): 1, (2 - n,): 2}},
+        ({"marked_unimodal_censuses": lambda n_max, k: [{}, {(0,): 1, (1,): 2}, {(0,): 2}]},
          "thm-1-2 --n-max 2 --k-max 1",
          ["k=1 n=1: ranks=(1,): series 0 != census 2",
           "k=1 n=2: ranks=(0,): series 1 != census 2"]),
@@ -339,7 +339,8 @@ USAGE_ERRORS = [
     ('series --function u1 --n-max 4 --specialize 1/0',
      'error: bad angle list: Fraction(1, 0)'),
     ('enumerate --object partition --n 600 --k 2',
-     'error: estimated inf objects exceeds budget 100000000; raise --budget to force'),
+     'error: estimated inf objects exceeds budget 100000000; '
+     'sizes above 500 are refused whatever the budget'),
     ('enumerate --object su-seq --n 0 --k 2',
      'error: --n must be >= 1 for this object'),
     ('enumerate --object kdurfee --n 0 --k 2 --budget 0',
@@ -379,7 +380,11 @@ USAGE_ERRORS = [
     ('verify --suite all --n-max 400',
      'error: estimated 1.65e+25 objects exceeds budget 100000000; raise --budget to force'),
     ('verify --suite psi --n-max 501',
-     'error: estimated inf objects exceeds budget 100000000; raise --budget to force'),
+     'error: estimated inf objects exceeds budget 100000000; '
+     'sizes above 500 are refused whatever the budget'),
+    ('verify --suite psi --n-max 501 --budget ' + str(10 ** 30),
+     f'error: estimated inf objects exceeds budget {10 ** 30}; '
+     'sizes above 500 are refused whatever the budget'),
     ('verify --suite psi --n-max 0 --budget 0',
      'error: estimated 1 objects exceeds budget 0; raise --budget to force'),
     ('verify --suite bijections --n-max 5 --budget 0',
@@ -457,7 +462,7 @@ def test_verify_and_specialize_golden(capsys, argv, digest):
 @pytest.mark.parametrize("module,name,argv", [
     (genfun, "marked_unimodal_rank_series", "series --function uk --k 2 --n-max 4"),
     (genfun, "mock_theta_psi", "verify --suite psi --n-max 3"),
-    (combinat, "rank_census_marked_durfee", "verify --suite thm-1-1 --n-max 3 --k-max 1"),
+    (combinat, "marked_durfee_censuses", "verify --suite thm-1-1 --n-max 3 --k-max 1"),
     (combinat, "enumerate_marked_unimodal", "enumerate --object ksu --n 4 --k 2"),
 ])
 def test_tables_look_functions_up_at_call_time(capsys, monkeypatch, module, name, argv):

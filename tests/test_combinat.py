@@ -2,6 +2,7 @@
 
 import itertools
 import operator
+import time
 from collections import Counter
 
 import pytest
@@ -390,6 +391,73 @@ class TestMarkedCensus:
         with pytest.raises(ValueError, match="^k must be >= 1$"):
             count((), 3, 0)
         assert count((0, 0), 0, 2) == 0
+
+
+# the value walk of each marked family, counting every size up to n_max at once
+WALKS = {"durfee": combinat.marked_durfee_censuses,
+         "unimodal": combinat.marked_unimodal_censuses}
+LEAST_SIZE = {"durfee": lambda k: k, "unimodal": lambda k: k * (k + 1) // 2}
+
+
+class TestValueWalks:
+    """Each walk against the listing tally and the marking oracle, which
+    share no code with it (`tests/test_source.py` holds it to that)."""
+
+    @pytest.mark.parametrize("family", WALKS)
+    def test_one_call_equals_listing_and_oracle_tallies(self, family):
+        _, listing, ranks, oracle = MARKED_FAMILIES[family]
+        for k in (1, 2, 3):
+            censuses = WALKS[family](14, k)
+            assert len(censuses) == 15 and censuses[0] == {}, k
+            for n in range(1, 15):
+                counted = censuses[n]
+                assert counted == _tally(ranks, listing(n, k)), (n, k)
+                assert counted == _tally(ranks, oracle(n, k)), (n, k)
+                assert list(counted) == sorted(counted) and all(counted.values()), (n, k)
+
+    @pytest.mark.parametrize("family", WALKS)
+    def test_edges(self, family):
+        walk = WALKS[family]
+        for k in (1, 2, 5):
+            assert walk(0, k) == [{}]
+        for k in range(1, 6):
+            least = LEAST_SIZE[family](k)
+            censuses = walk(least + 2, k)
+            assert censuses[:least] == [{}] * least, k
+            assert sum(censuses[least].values()) == 1, k
+            # the census of a size does not depend on how far the walk goes
+            assert walk(least - 1, k) == censuses[:least], k
+
+    # draws as in TestMarkedCensus: the Durfee listing above k=2 stops at n=12
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_equals_listing_tally_random(self, data):
+        family = data.draw(st.sampled_from(sorted(WALKS)))
+        _, listing, ranks, _ = MARKED_FAMILIES[family]
+        k = data.draw(st.integers(1, 4))
+        n_max = data.draw(st.integers(0, 18 if family == "unimodal" or k <= 2 else 12))
+        n = data.draw(st.integers(0, n_max))
+        censuses = WALKS[family](n_max, k)
+        assert len(censuses) == n_max + 1
+        for m in {n, n_max} - {0}:
+            assert censuses[m] == _tally(ranks, listing(m, k)), (m, k)
+
+    @pytest.mark.parametrize("family", WALKS)
+    def test_argument_errors(self, family):
+        for n_max, k, message in ((-1, 2, "n_max must be >= 0"), (-1, 0, "n_max must be >= 0"),
+                                  (3, 0, "k must be >= 1"), (0, -2, "k must be >= 1")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                WALKS[family](n_max, k)
+
+    @pytest.mark.parametrize("function", [
+        combinat.marked_durfee_censuses, combinat.marked_unimodal_censuses,
+        rank_census_marked_durfee, rank_census_marked_unimodal])
+    def test_huge_k_builds_no_rows(self, function):
+        # k rows of n_max + 1 dicts would take gigabytes at k = 10**6
+        started = time.perf_counter()
+        result = function(5, 10 ** 6)
+        assert time.perf_counter() - started < 0.1
+        assert result in ({}, [{}] * 6)
 
 
 class TestSelfConjugate:

@@ -54,14 +54,17 @@ def test_combinat_shares_no_code_with_the_series_side():
 
 
 COUNTS = ("count_self_conjugate", "count_even_part_parity", "rank_census_marked_unimodal",
-          "rank_census_marked_durfee", "_marked_census", "marked_unimodal_counts")
+          "rank_census_marked_durfee", "marked_unimodal_censuses", "marked_durfee_censuses",
+          "marked_unimodal_counts")
 
 
 @pytest.mark.parametrize("count", COUNTS)
 def test_counts_build_no_marked_symbol(count):
-    """The counts `verify` reads build no marked symbol: neither they nor any
-    `combinat` function they reach refers to the pool filler, a marked
-    symbol class or a marked listing."""
+    """The counts `verify` reads build no marked symbol and share no code
+    with the listing they are tested against: neither they nor any
+    `combinat` function they reach refers to the parts enumerator, the
+    profile walk, the pool filler, a marked symbol class or a marked
+    listing."""
     path = next(p for p in SOURCES if p.name == "combinat.py")
     tree = ast.parse(path.read_text(), filename=str(path))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -71,7 +74,8 @@ def test_counts_build_no_marked_symbol(count):
                 if isinstance(node, ast.Name)}
 
     def forbidden(name):
-        return name in {"_marked_rows", "KMarkedSUSymbol", "KMarkedDurfeeSymbol"} \
+        return name in {"_parts", "_profiles", "_marked_rows", "KMarkedSUSymbol",
+                        "KMarkedDurfeeSymbol"} \
             or name.startswith("enumerate_marked_")
 
     reached, pending = set(), [count]
