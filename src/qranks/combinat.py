@@ -741,7 +741,7 @@ def enumerate_complete_odd_partitions(n: int) -> list[Partition]:
     return [Partition(parts) for parts in _complete_odd_partitions(n)]
 
 
-# kept off `_parts`: the psi suite's enumerative route already lists strict height tuples
+# kept off `_parts`, which the self-conjugate listing paired with it in `bijections` uses
 def _complete_odd_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Yield the parts of every complete odd partition of n in descending
     lexicographic order: largest value first, then the most copies of each

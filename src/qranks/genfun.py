@@ -6,13 +6,13 @@ unimodal families).  No builder forms its terms one by one: one evaluator,
 :func:`_nested_sum`, sums from the innermost index outwards (Horner's rule
 for nested sums).  S_j(b), the sum over M_j >= b and every later index,
 follows from S_j(b+1) and from S_(j+1) at M_j = b by one step, which
-multiplies by binomials 1 + c*x^e*q^p (sparse series from
-:func:`qranks.series.pochhammer`) or by the inverse of one, and adds.  A
-builder therefore makes O(k*N) series operations, each costing about
-O(N * terms) because ``__mul__`` skips the zero coefficients of its
-operands, where a term-by-term sum makes one such product per factor of
-every term.  S_j(b) is 0 modulo q^(N+1) once its least q-power exceeds N,
-so those sums are never formed and the truncated result is exact.
+multiplies or divides by binomials 1 + c*x^e*q^p (sparse series from
+:func:`qranks.series.pochhammer`) and adds.  A builder therefore makes
+O(k*N) series operations, each costing about O(N * terms) because ``*``
+and ``/`` skip the zero coefficients of their operands, where a
+term-by-term sum makes one such product per factor of every term.  S_j(b)
+is 0 modulo q^(N+1) once its least q-power exceeds N, so those sums are
+never formed and the truncated result is exact.
 
 The two self-conjugate forms share the evaluator and the series ring, so
 they are not independent of each other; both are checked against
@@ -99,17 +99,16 @@ def _durfee_sum(k: int, n_max: int) -> TruncatedSeries:
     def step(j, b, head, rest):
         total = head if rest is None else head + rest
         for exponent in (1, -1):
-            total = _binomial(-1, j, exponent, b, n_max, k).inverse() * total
+            total = total / _binomial(-1, j, exponent, b, n_max, k)
         return total
 
     return _nested_sum(k, n_max, k, 0, lambda j, b: b * b if j == k else b, step)
 
 
 def partition_series(n_max: int) -> TruncatedSeries:
-    """Partition counts p(0..n_max): the inverse of the infinite product
-    prod (1 - q^n)."""
+    """Partition counts p(0..n_max): 1 / prod (1 - q^n)."""
     euler = pochhammer(FactorSpec(1, None, 1, 1, 1), None, n_max, 0)
-    return euler.inverse()
+    return TruncatedSeries.one(n_max, 0) / euler
 
 
 def partition_rank_series(n_max: int) -> TruncatedSeries:
@@ -192,7 +191,7 @@ def self_conjugate_series(k: int, n_max: int, form: str = "raw") -> TruncatedSer
           * sum_(1 <= M_1 < ... < M_(k-1) < P)
               prod_j q^(2 M_j) / (1 + q^(2 M_j))
 
-    with each 1/(1 + q^(2M_j)) realized by series inversion.  Both forms
+    with each 1/(1 + q^(2M_j)) realized by series division.  Both forms
     agree at every truncation.
     """
     if k < 1:
@@ -208,7 +207,7 @@ def self_conjugate_series(k: int, n_max: int, form: str = "raw") -> TruncatedSer
 
     def simplified_step(j, b, head, rest):
         if j < k:
-            head = _binomial(1, None, 1, 2 * b, n_max, 0).inverse() * head
+            head = head / _binomial(1, None, 1, 2 * b, n_max, 0)
         else:
             head = pochhammer(FactorSpec(-1, None, 1, 2, 2), b - 1, n_max, 0) * head
         return head if rest is None else head + rest
@@ -232,7 +231,7 @@ def mock_theta_psi(n_max: int, form: str = "theta") -> TruncatedSeries:
     if form == "theta":
         def step(j, b, head, rest):
             total = head if rest is None else head + rest
-            return _binomial(-1, None, 1, 2 * b - 1, n_max, 0).inverse() * total
+            return total / _binomial(-1, None, 1, 2 * b - 1, n_max, 0)
 
         return _nested_sum(1, n_max, 0, 0, lambda j, b: b * b, step)
     if form == "pochhammer":

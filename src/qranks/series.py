@@ -6,14 +6,14 @@ Each q-coefficient is a :class:`LaurentCoefficient`: a sparse integer
 polynomial in x_1^(+-1), ..., x_k^(+-1).  All arithmetic is exact Python
 integer arithmetic; no floating point enters this module.
 
-Every product, inverse and binomial factor goes through one monomial loop,
-:func:`_shift_add`, on a mutable accumulator: a list of exponent->int
+Every product, quotient and binomial factor goes through one monomial
+loop, :func:`_shift_add`, on a mutable accumulator: a list of exponent->int
 dicts indexed by the power of q.  :func:`_mul_binomial` multiplies such an
 accumulator in place by a binomial 1 + c*x^e*q^p in O(N * terms), and
-:func:`pochhammer` is a loop of it.  ``__mul__`` skips the zero
-coefficients of its operands, so a product with a binomial costs about as
-much as :func:`_mul_binomial`; the builders in :mod:`qranks.genfun` rely on
-that.
+:func:`pochhammer` is a loop of it.  ``__mul__`` and ``__truediv__`` skip
+the zero coefficients of their operands, so a product with, or a quotient
+by, a binomial costs about as much as :func:`_mul_binomial`; the builders in
+:mod:`qranks.genfun` rely on that.  ``inverse()`` is the quotient 1 / s.
 
 Values are immutable after construction and all operations are pure, so
 series may be shared freely between threads.
@@ -30,7 +30,7 @@ def _shift_add(target: dict[tuple[int, ...], int], source: dict[tuple[int, ...],
     """Add c * x^exps * source into ``target`` in place, dropping sums that
     reach 0.  An all-zero (or empty) ``exps`` adds ``source`` unshifted.
 
-    This is the only monomial loop: every sum, product, inverse and
+    This is the only monomial loop: every sum, product, quotient and
     binomial factor in this module goes through it.
     """
     if any(exps):
@@ -277,22 +277,28 @@ class TruncatedSeries:
                     _add_product(acc[i + j], a.terms, b)
         return TruncatedSeries._from_buckets(n_max, self.var_count, acc)
 
-    def inverse(self) -> TruncatedSeries:
-        """Multiplicative inverse modulo q^(N+1).
-
-        Requires the q^0 coefficient to be the integer 1 (no x terms);
-        then self * self.inverse() == one at this truncation.
-        """
-        if not self.coeffs[0].is_one():
+    def __truediv__(self, other: TruncatedSeries) -> TruncatedSeries:
+        """Quotient modulo q^(N+1) at the smaller truncation, in one pass up
+        the powers of q; other's q^0 coefficient must be the integer 1 (no x
+        terms), and then (self / other) * other == self."""
+        self._check_compatible(other)
+        if not other.coeffs[0].is_one():
             raise ValueError("non-unit constant term")
-        n_max = self.truncation_order
-        inv: Buckets = [{(0,) * self.var_count: 1}]
-        for n in range(1, n_max + 1):
-            total: dict[tuple[int, ...], int] = {}
-            for j in range(1, n + 1):
-                _add_product(total, self.coeffs[j].terms, inv[n - j])
-            inv.append({exps: -value for exps, value in total.items()})
-        return TruncatedSeries._from_buckets(n_max, self.var_count, inv)
+        n_max = min(self.truncation_order, other.truncation_order)
+        acc: Buckets = [dict(a.terms) for a in self.coeffs[: n_max + 1]]
+        negated = [(j, {exps: -v for exps, v in b.terms.items()})
+                   for j, b in enumerate(other.coeffs[1: n_max + 1], 1) if b.terms]
+        for n, quotient in enumerate(acc):
+            for j, b in negated:
+                if n + j > n_max:
+                    break
+                _add_product(acc[n + j], b, quotient)
+        return TruncatedSeries._from_buckets(n_max, self.var_count, acc)
+
+    def inverse(self) -> TruncatedSeries:
+        """Multiplicative inverse modulo q^(N+1), the quotient 1 / self: the q^0
+        coefficient must be the integer 1, and then self * self.inverse() == one."""
+        return TruncatedSeries.one(self.truncation_order, self.var_count) / self
 
     # ------------------------------------------------------------------
     # access

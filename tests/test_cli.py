@@ -273,7 +273,8 @@ class TestVerifyCommand:
           "self_conjugate_to_odd_parts": lambda p: p}, "bijections --n-max 2",
          ["bijection=self-conjugate n=1: partition 1",
           "bijection=self-conjugate n=2: partition 1+1"]),
-        ({"count_self_conjugate": lambda n, k: 7}, "thm-1-5 --n-max 2 --k-max 2",
+        ({"marked_unimodal_counts": lambda n_max, k_max, symmetric=False:
+          [[7] * (n_max + 1)] * k_max}, "thm-1-5 --n-max 2 --k-max 2",
          ["k=2 n=1: self-conjugate count=7; raw series=0; simplified series=0; "
           "signed parity difference=0",
           "k=2 n=2: self-conjugate count=7; raw series=0; simplified series=0; "
@@ -299,6 +300,14 @@ class TestVerifyCommand:
                            "--k-max", "3")
         assert code == 2
         assert "budget" in err
+
+    def test_thm15_marks_past_every_symbol(self, capsys):
+        # no symbol of size <= 6 has 4 or 5 marks: k = 5 reads the count
+        # table's last row, which stops at k = 4 and is all 0
+        code, out, _ = run(capsys, "verify", "--suite", "thm-1-5", "--n-max", "6",
+                           "--k-max", "5")
+        assert code == 0
+        assert "0 failed" in out.splitlines()[-1]
 
     def test_all_suites_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "8",

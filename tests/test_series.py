@@ -131,6 +131,29 @@ class TestInverse:
             s.inverse()
 
 
+class TestDivision:
+    def test_by_parts_at_most_two(self):
+        one = TruncatedSeries.one(6, 0)
+        b = (one - q_monomial(1, 1, 6)) * (one - q_monomial(1, 2, 6))
+        a = one + q_monomial(1, 3, 6)
+        # (1 + q^3) / ((1 - q)(1 - q^2)): partitions into 1s and 2s, shifted by 3 and added
+        bounded = [brute_force_bounded_partitions(n, [1, 2]) for n in range(7)]
+        expected = [bounded[n] + (bounded[n - 3] if n >= 3 else 0) for n in range(7)]
+        assert (a / b).integer_coefficients() == expected
+
+    def test_non_unit_constant_rejected(self):
+        one = TruncatedSeries.one(3, 1)
+        # an x term in the constant coefficient disqualifies as well as 2 or 0
+        for b in (one + one, one + TruncatedSeries.monomial(1, (1,), 0, 3),
+                  TruncatedSeries.monomial(1, (0,), 1, 3)):
+            with pytest.raises(ValueError, match="non-unit constant term"):
+                one / b
+
+    def test_mismatched_var_count_rejected(self):
+        with pytest.raises(ValueError, match="mismatched variable count"):
+            TruncatedSeries.one(3, 1) / TruncatedSeries.one(3, 2)
+
+
 class TestPochhammer:
     def test_q_ascending_two_factors(self):
         spec = FactorSpec(1, None, 1, 1, 1)
@@ -225,6 +248,20 @@ def test_inverse_round_trip(data):
     n = data.draw(st.integers(0, 8))
     a = data.draw(small_series(var_count=k, n_max=n, unit=True))
     assert a * a.inverse() == TruncatedSeries.one(n, k)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_division_round_trip(data):
+    k = data.draw(st.integers(0, 3))
+    a = data.draw(small_series(var_count=k, n_max=data.draw(st.integers(0, 8))))
+    b = data.draw(small_series(var_count=k, n_max=data.draw(st.integers(0, 8)), unit=True))
+    n = min(a.truncation_order, b.truncation_order)
+    quotient = a / b
+    assert quotient * b == a + TruncatedSeries.zero(n, k)  # a, truncated at n
+    assert quotient == a * b.inverse()
+    for coeff in quotient.coeffs:
+        assert all(v != 0 for v in coeff.terms.values())
 
 
 @given(
