@@ -664,6 +664,7 @@ def marked_unimodal_counts(n_max: int, k_max: int,
 
     The rows stop at the first k whose counts are all 0, which then serves
     every larger k: a k-marked symbol has size at least 1+2+...+k."""
+    _check_marked(n_max, k_max, least=0, name="n_max")
     marks = min(k_max, (isqrt(8 * n_max + 1) - 1) // 2 + 1)
     table = [[1] + [0] * n_max] + [[0] * (n_max + 1) for _ in range(marks - 1)]
     counts = [[0] * (n_max + 1) for _ in range(marks)]

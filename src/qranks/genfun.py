@@ -30,6 +30,8 @@ here.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from . import combinat
 from .series import FactorSpec, LaurentCoefficient, TruncatedSeries, pochhammer
 
@@ -43,9 +45,9 @@ def _checked(s: TruncatedSeries) -> TruncatedSeries:
     violation means a builder is wrong, not its input.
     """
     for n, c in enumerate(s.coeffs):
-        for exps in c.terms:
-            if any(abs(e) > n for e in exps):
-                raise ArithmeticError(f"rank exponent beyond size: n={n}, exponents={exps}")
+        if max(map(abs, chain.from_iterable(c.terms)), default=0) > n:
+            exps = next(exps for exps in c.terms if any(abs(e) > n for e in exps))
+            raise ArithmeticError(f"rank exponent beyond size: n={n}, exponents={exps}")
     return TruncatedSeries(s.truncation_order, s.var_count, [
         LaurentCoefficient(s.var_count, {exps: c.terms[exps] for exps in sorted(c.terms)})
         for c in s.coeffs])

@@ -3,12 +3,15 @@
 A :class:`TruncatedSeries` stores the coefficients of q^0 .. q^N exactly and
 knows nothing about higher orders (the series is exact modulo q^(N+1)).
 Each q-coefficient is a :class:`LaurentCoefficient`: a sparse integer
-polynomial in x_1^(+-1), ..., x_k^(+-1).  All arithmetic is exact Python
-integer arithmetic; no floating point enters this module.
+polynomial in x_1^(+-1), ..., x_k^(+-1).  It is a value type with no
+arithmetic of its own.  All arithmetic is exact Python integer arithmetic;
+no floating point enters this module.
 
-Every product, quotient and binomial factor goes through one monomial
-loop, :func:`_shift_add`, on a mutable accumulator: a list of exponent->int
-dicts indexed by the power of q.  :func:`_mul_binomial` multiplies such an
+Every sum, difference, negation, product, quotient and binomial factor
+goes through one monomial loop, :func:`_shift_add`, on a mutable
+accumulator: a list of exponent->int dicts indexed by the power of q, which
+:meth:`TruncatedSeries._from_buckets` wraps once into the result's
+coefficients.  :func:`_mul_binomial` multiplies such an
 accumulator in place by a binomial 1 + c*x^e*q^p in O(N * terms), and
 :func:`pochhammer` is a loop of it.  ``__mul__`` and ``__truediv__`` skip
 the zero coefficients of their operands, so a product with, or a quotient
@@ -30,8 +33,8 @@ def _shift_add(target: dict[tuple[int, ...], int], source: dict[tuple[int, ...],
     """Add c * x^exps * source into ``target`` in place, dropping sums that
     reach 0.  An all-zero (or empty) ``exps`` adds ``source`` unshifted.
 
-    This is the only monomial loop: every sum, product, quotient and
-    binomial factor in this module goes through it.
+    This is the only monomial loop: every sum, difference, negation,
+    product, quotient and binomial factor in this module goes through it.
     """
     if any(exps):
         items = [(tuple(map(add, e, exps)), v) for e, v in source.items()]
@@ -69,11 +72,12 @@ def _mul_binomial(acc: Buckets, c: int, exps: tuple[int, ...], p: int) -> None:
 
 
 class LaurentCoefficient:
-    """Sparse integer polynomial in x_1^(+-1) .. x_k^(+-1).
+    """Sparse integer polynomial in x_1^(+-1) .. x_k^(+-1), as a value.
 
     ``terms`` maps an exponent tuple of length ``var_count`` to a nonzero
     integer.  Zero values are never stored; the zero polynomial has an
-    empty ``terms`` dict.
+    empty ``terms`` dict.  The object keeps its own copy of the dict it is
+    built from.  Arithmetic lives in :class:`TruncatedSeries`.
     """
 
     __slots__ = ("var_count", "terms")
@@ -88,7 +92,9 @@ class LaurentCoefficient:
                 raise ValueError(
                     f"exponent vector {exps!r} has length {len(exps)}, expected {var_count}"
                 )
-            pruned = {tuple(exps): value for exps, value in terms.items() if value != 0}
+            # one copy, made at C speed unless a zero value has to be dropped
+            pruned = ({exps: value for exps, value in terms.items() if value}
+                      if 0 in terms.values() else dict(terms))
         object.__setattr__(self, "var_count", var_count)
         object.__setattr__(self, "terms", pruned)
 
@@ -120,32 +126,6 @@ class LaurentCoefficient:
                 f"exponent vector {exponents!r} has length {len(exponents)}, expected {self.var_count}"
             )
         return self.terms.get(tuple(exponents), 0)
-
-    def _check_compatible(self, other: LaurentCoefficient) -> None:
-        if self.var_count != other.var_count:
-            raise ValueError(
-                f"mismatched variable count: {self.var_count} vs {other.var_count}"
-            )
-
-    def __add__(self, other: LaurentCoefficient) -> LaurentCoefficient:
-        self._check_compatible(other)
-        merged = dict(self.terms)
-        _shift_add(merged, other.terms, 1, ())
-        return LaurentCoefficient(self.var_count, merged)
-
-    def __neg__(self) -> LaurentCoefficient:
-        return LaurentCoefficient(
-            self.var_count, {exps: -value for exps, value in self.terms.items()}
-        )
-
-    def __sub__(self, other: LaurentCoefficient) -> LaurentCoefficient:
-        return self + (-other)
-
-    def __mul__(self, other: LaurentCoefficient) -> LaurentCoefficient:
-        self._check_compatible(other)
-        product: dict[tuple[int, ...], int] = {}
-        _add_product(product, self.terms, other.terms)
-        return LaurentCoefficient(self.var_count, product)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentCoefficient):
@@ -250,19 +230,23 @@ class TruncatedSeries:
                 f"mismatched variable count: {self.var_count} vs {other.var_count}"
             )
 
-    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
+    def _plus(self, other: TruncatedSeries, c: int) -> TruncatedSeries:
+        """self + c * other at the smaller truncation, on a copy of self's buckets."""
         self._check_compatible(other)
         n_max = min(self.truncation_order, other.truncation_order)
-        coeffs = [self.coeffs[n] + other.coeffs[n] for n in range(n_max + 1)]
-        return TruncatedSeries(n_max, self.var_count, coeffs)
+        acc: Buckets = [dict(a.terms) for a in self.coeffs[: n_max + 1]]
+        for bucket, b in zip(acc, other.coeffs):
+            _shift_add(bucket, b.terms, c, ())
+        return TruncatedSeries._from_buckets(n_max, self.var_count, acc)
 
-    def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries(
-            self.truncation_order, self.var_count, [-c for c in self.coeffs]
-        )
+    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
+        return self._plus(other, 1)
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> TruncatedSeries:
+        return TruncatedSeries.zero(self.truncation_order, self.var_count) - self
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check_compatible(other)

@@ -460,6 +460,16 @@ class TestValueWalks:
         assert result in ({}, [{}] * 6)
 
 
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_marked_unimodal_counts_checks_arguments_like_the_walks(symmetric):
+    # k_max = 0 gave [] (so `[-1]` raised IndexError) and n_max = -1 an isqrt error
+    for n_max, k_max, message in ((5, 0, "k must be >= 1"), (-1, 1, "n_max must be >= 0"),
+                                  (-1, 0, "n_max must be >= 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            combinat.marked_unimodal_counts(n_max, k_max, symmetric=symmetric)
+    assert combinat.marked_unimodal_counts(0, 1, symmetric=symmetric) == [[0]]
+
+
 class TestSelfConjugate:
     def test_counts_k1(self):
         assert count_self_conjugate(4, 1) == 2  # (4) and (1,2,1)

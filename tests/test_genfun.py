@@ -1,11 +1,17 @@
 """Generating-function builders against their enumeration oracles."""
 
 import itertools
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import series_oracle
 
 from qranks import combinat, genfun
+from qranks.series import LaurentCoefficient, TruncatedSeries
 
 
 def census_as_terms(census):
@@ -174,6 +180,52 @@ class TestEvenPartParitySeries:
 def test_negative_truncation_rejected(build):
     with pytest.raises(ValueError):
         build(-1)
+
+
+class TestChecked:
+    """`genfun._checked`, which every multivariate builder returns through."""
+
+    MESSAGE = "rank exponent beyond size: n=1, exponents=(2,)"
+
+    def test_exponent_beyond_size_raises(self):
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(self.MESSAGE)}$"):
+            genfun._checked(TruncatedSeries.monomial(1, (2,), 1, 3))
+
+    def test_names_the_first_offending_key(self):
+        # x^(0, 2) q^1 is beyond its size; x^(1, -1) q^1 and everything at q^3 are not
+        coeffs = [LaurentCoefficient.zero(2), LaurentCoefficient(2, {(1, -1): 4, (0, 2): 1}),
+                  LaurentCoefficient.zero(2), LaurentCoefficient(2, {(3, -3): 1})]
+        with pytest.raises(ArithmeticError, match=r"^rank exponent beyond size: n=1, "
+                                                  r"exponents=\(0, 2\)$"):
+            genfun._checked(TruncatedSeries(3, 2, coeffs))
+
+    def test_raises_under_optimized_mode(self):
+        code = ("from qranks import genfun\n"
+                "from qranks.series import TruncatedSeries\n"
+                "try:\n"
+                "    genfun._checked(TruncatedSeries.monomial(1, (2,), 1, 3))\n"
+                "except ArithmeticError as exc:\n"
+                "    print(exc)\n")
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        result = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=root,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == self.MESSAGE + "\n"
+
+    def test_keys_ascend_and_values_keep(self):
+        terms = {(1, 0): 2, (-1, 1): -3, (0, 0): 5, (-2, 2): 1, (0, -1): 7}
+        s = TruncatedSeries(2, 2, [LaurentCoefficient.zero(2), LaurentCoefficient.zero(2),
+                                   LaurentCoefficient(2, terms)])
+        checked = genfun._checked(s)
+        assert checked == s
+        assert list(checked.coefficient(2).terms) == sorted(terms)
+
+    def test_builders_return_ascending_keys(self):
+        for s in (genfun.partition_rank_series(12), genfun.marked_durfee_rank_series(2, 12),
+                  genfun.marked_unimodal_rank_series(3, 12)):
+            for coeff in s.coeffs:
+                assert list(coeff.terms) == sorted(coeff.terms)
 
 
 class TestDeterminism:

@@ -50,6 +50,23 @@ class TestConstruction:
         c = LaurentCoefficient(1, {(0,): 0, (1,): 3})
         assert c.terms == {(1,): 3}
 
+    def test_keeps_its_own_copy(self):
+        terms = {(1,): 3, (-1,): 2}
+        c = LaurentCoefficient(1, terms)
+        terms[(1,)] = 5
+        terms[(0,)] = 1
+        del terms[(-1,)]
+        assert c.terms == {(1,): 3, (-1,): 2}
+        # also when a zero value is dropped on the way in
+        terms = {(1,): 0, (2,): 4}
+        c = LaurentCoefficient(1, terms)
+        terms[(2,)] = 9
+        assert c.terms == {(2,): 4}
+
+    def test_no_arithmetic_on_coefficients(self):
+        for name in ("__add__", "__sub__", "__neg__", "__mul__"):
+            assert name not in vars(LaurentCoefficient), name
+
     def test_exponent_length_checked(self):
         # the first exponent vector of the wrong length is named, zero value or not
         with pytest.raises(ValueError, match=r"\(1,\) has length 1, expected 2"):
@@ -291,6 +308,65 @@ def test_no_zero_terms_survive_operations(data):
     for result in (a + b, a - b, a * b):
         for coeff in result.coeffs:
             assert all(v != 0 for v in coeff.terms.values())
+
+
+# ----------------------------------------------------------------------
+# sums and differences against plain dicts, with no series arithmetic
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def plain_series(draw, var_count, n_max):
+    """One exponent->int dict per power of q up to n_max, zero values allowed;
+    exponents in -1..1 so that keys collide often."""
+    exps = st.tuples(*[st.integers(-1, 1)] * var_count)
+    return [draw(st.dictionaries(exps, st.integers(-3, 3), max_size=4))
+            for _ in range(n_max + 1)]
+
+
+def nonzero(plain):
+    return [{e: v for e, v in terms.items() if v} for terms in plain]
+
+
+def plain_combination(a, b, c):
+    """a + c*b dict by dict, to the shorter length, without zero values."""
+    return nonzero({e: x.get(e, 0) + c * y.get(e, 0) for e in x.keys() | y.keys()}
+                   for x, y in zip(a, b))
+
+
+def as_series(plain, var_count):
+    return TruncatedSeries(len(plain) - 1, var_count,
+                           [LaurentCoefficient(var_count, terms) for terms in plain])
+
+
+def plain_terms(s):
+    return [dict(coeff.terms) for coeff in s.coeffs]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_add_sub_neg_match_plain_dicts(data):
+    k = data.draw(st.integers(0, 3))
+    a = data.draw(plain_series(k, data.draw(st.integers(0, 6))))
+    relation = data.draw(st.sampled_from(["independent", "equal", "negated"]))
+    if relation == "independent":
+        b = data.draw(plain_series(k, data.draw(st.integers(0, 6))))
+    else:
+        # b agrees with +-a on a prefix, so a - b or a + b cancels to 0 there
+        sign = 1 if relation == "equal" else -1
+        b = [{e: sign * v for e, v in terms.items()} for terms in a]
+        b = b[: data.draw(st.integers(1, len(a)))] + data.draw(
+            plain_series(k, data.draw(st.integers(-1, 2))))
+    sa, sb = as_series(a, k), as_series(b, k)
+    cases = [(sa + sb, plain_combination(a, b, 1)), (sa - sb, plain_combination(a, b, -1)),
+             (-sa, plain_combination([{}] * len(a), a, -1)),
+             (sa + sa, plain_combination(a, a, 1)), (sa - sa, [{}] * len(a))]
+    for result, expected in cases:
+        assert (result.truncation_order, result.var_count) == (len(expected) - 1, k)
+        assert plain_terms(result) == expected
+        assert all(0 not in coeff.terms.values() for coeff in result.coeffs)
+    # the operands are unchanged
+    assert (plain_terms(sa), plain_terms(sb)) == (nonzero(a), nonzero(b))
 
 
 # ----------------------------------------------------------------------
