@@ -31,6 +31,19 @@ from typing import Iterator, NamedTuple
 RankVector = tuple[int, ...]
 
 
+def _integers(*values) -> tuple[int, ...]:
+    """``values`` as ints, read by :func:`operator.index`: the one integer
+    check of every part, mark, side, peak and k.  Anything it refuses (a
+    float, a string) is a ValueError that names the value."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for value in values:
+            if not hasattr(type(value), "__index__"):
+                raise ValueError(f"not an integer: {value!r}") from None
+        raise
+
+
 # ----------------------------------------------------------------------
 # partitions
 # ----------------------------------------------------------------------
@@ -43,7 +56,7 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+        object.__setattr__(self, "parts", _integers(*self.parts))
         prev = None
         for p in self.parts:
             if p < 1:
@@ -136,6 +149,7 @@ class DurfeeSymbol:
     side: int
 
     def __post_init__(self):
+        object.__setattr__(self, "side", *_integers(self.side))
         if self.side < 1:
             raise ValueError("side must be >= 1")
         for row in (self.top, self.bottom):
@@ -193,7 +207,7 @@ class SUSequence:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+        object.__setattr__(self, "parts", _integers(*self.parts))
         parts = self.parts
         if not parts:
             raise ValueError("sequence must be nonempty")
@@ -231,6 +245,7 @@ class SUSymbol:
     peak: int
 
     def __post_init__(self):
+        object.__setattr__(self, "peak", *_integers(self.peak))
         if self.peak < 1:
             raise ValueError("peak must be >= 1")
         for row in (self.top, self.bottom):
@@ -325,7 +340,7 @@ class MarkedPart(NamedTuple):
 
 
 def _canonical_row(row) -> tuple[MarkedPart, ...]:
-    parts = tuple(MarkedPart(int(v), int(m)) for v, m in row)
+    parts = tuple(MarkedPart(*_integers(v, m)) for v, m in row)
     return tuple(sorted(parts, key=lambda p: (-p.value, -p.mark)))
 
 
@@ -414,7 +429,10 @@ class KMarkedDurfeeSymbol:
     def __post_init__(self):
         object.__setattr__(self, "top", _canonical_row(self.top))
         object.__setattr__(self, "bottom", _canonical_row(self.bottom))
-        reason = _marked_violation(self.top, self.bottom, self.side, self.k, strict=False)
+        side, k = _integers(self.side, self.k)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "k", k)
+        reason = _marked_violation(self.top, self.bottom, side, k, strict=False)
         if reason:
             raise ValueError(f"invalid {self.k}-marked Durfee symbol: {reason}")
 
@@ -447,7 +465,10 @@ class KMarkedSUSymbol:
     def __post_init__(self):
         object.__setattr__(self, "top", _canonical_row(self.top))
         object.__setattr__(self, "bottom", _canonical_row(self.bottom))
-        reason = _marked_violation(self.top, self.bottom, self.peak, self.k, strict=True)
+        peak, k = _integers(self.peak, self.k)
+        object.__setattr__(self, "peak", peak)
+        object.__setattr__(self, "k", k)
+        reason = _marked_violation(self.top, self.bottom, peak, k, strict=True)
         if reason:
             raise ValueError(f"invalid {self.k}-marked unimodal symbol: {reason}")
 
@@ -832,6 +853,8 @@ def count_even_part_parity(n: int, k: int) -> tuple[int, int]:
         raise ValueError("defined for k >= 2 only")
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n < k * k:  # the least configuration: k ones and the even values 2, 4, .., 2k-2
+        return 0, 0
     strict = [1] + [0] * n  # strict[m]: strict partitions of m into parts below L
     ways = [[[0, 0] for _ in range(n + 1)] for _ in range(k)]
     ways[0][0][0] = 1

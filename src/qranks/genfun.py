@@ -33,24 +33,17 @@ from __future__ import annotations
 from itertools import chain
 
 from . import combinat
-from .series import FactorSpec, LaurentCoefficient, TruncatedSeries, pochhammer
+from .series import FactorSpec, TruncatedSeries, pochhammer
 
 
 def _checked(s: TruncatedSeries) -> TruncatedSeries:
-    """Return ``s`` with each coefficient's monomials in ascending exponent
-    order, so that their order (which the numeric specializer sums in) does
-    not depend on how the series was built.
-
-    Checks first that no rank exponent exceeds the size it appears at; a
-    violation means a builder is wrong, not its input.
-    """
+    """Return ``s`` once no rank exponent exceeds the size it appears at; a
+    violation means a builder is wrong, not its input."""
     for n, c in enumerate(s.coeffs):
         if max(map(abs, chain.from_iterable(c.terms)), default=0) > n:
             exps = next(exps for exps in c.terms if any(abs(e) > n for e in exps))
             raise ArithmeticError(f"rank exponent beyond size: n={n}, exponents={exps}")
-    return TruncatedSeries(s.truncation_order, s.var_count, [
-        LaurentCoefficient(s.var_count, {exps: c.terms[exps] for exps in sorted(c.terms)})
-        for c in s.coeffs])
+    return s
 
 
 def _binomial(c: int, var: int | None, exponent: int, p: int, n_max: int,
@@ -86,6 +79,8 @@ def _nested_sum(k: int, n_max: int, var_count: int, gap: int, power, step) -> Tr
                 rest = step(j, b, monomial * tail, rest)
                 level[b] = order, rest
         inner = level
+        if not inner:  # every outer level reads this one, so it is empty too
+            break
     return inner[1][1] if 1 in inner else TruncatedSeries.zero(n_max, var_count)
 
 

@@ -377,8 +377,6 @@ def pochhammer(spec: FactorSpec, count: int | None, n_max: int,
         raise ValueError("n_max must be >= 0")
     if count is not None and count < 0:
         raise ValueError("count must be >= 0 or None for the infinite product")
-    if count is None and spec.q_offset + spec.q_step < 1:
-        raise ValueError("divergent product: infinite count needs q_offset + q_step >= 1")
 
     if spec.var_index is None:
         exponents = (0,) * var_count

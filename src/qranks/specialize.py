@@ -12,6 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .series import TruncatedSeries
 
@@ -106,7 +107,7 @@ def specialize_exact(s: TruncatedSeries, v: RootOfUnityVector) -> GaussianSeries
     for c in s.coeffs:
         re = im = 0
         for exps, value in c.terms.items():
-            t = sum(a * e for a, e in zip(turns, exps)) % period
+            t = sum(map(mul, turns, exps)) % period
             ur, ui = _GAUSSIAN_UNITS[4 * t // period]
             re += value * ur
             im += value * ui
@@ -117,7 +118,10 @@ def specialize_exact(s: TruncatedSeries, v: RootOfUnityVector) -> GaussianSeries
 def specialize_numeric(s: TruncatedSeries, v: RootOfUnityVector) -> ComplexSeries:
     """Evaluate at arbitrary rational angles in double precision.
 
-    The recorded error bound per coefficient is term-count based:
+    Each coefficient's monomials are summed in ascending exponent order, so
+    the result depends only on the series' value, not on the order its
+    terms were made in.  The recorded error bound per coefficient is
+    term-count based:
     4 * (number of monomials + 1) * (sum of |integer coefficients|) * eps.
     It is deliberately conservative.  Monomial values whose combined angle
     is a quarter turn are taken exactly, so evaluations at 1, -1, +-i incur
@@ -129,16 +133,14 @@ def specialize_numeric(s: TruncatedSeries, v: RootOfUnityVector) -> ComplexSerie
     bounds = []
     for c in s.coeffs:
         total = 0j
-        magnitude = 0
-        for exps, value in c.terms.items():
-            t = sum(a * e for a, e in zip(turns, exps)) % period
+        for exps in sorted(c.terms):
+            t = sum(map(mul, turns, exps)) % period
             if 4 * t % period == 0:
                 unit = complex(*_GAUSSIAN_UNITS[4 * t // period])
             else:
                 # t / L rounds correctly, as float(Fraction(t, L)) does
                 unit = cmath.exp(2j * math.pi * (t / period))
-            total += value * unit
-            magnitude += abs(value)
+            total += c.terms[exps] * unit
         coeffs.append(total)
-        bounds.append(4.0 * (len(c.terms) + 1) * magnitude * _EPS)
+        bounds.append(4.0 * (len(c.terms) + 1) * sum(map(abs, c.terms.values())) * _EPS)
     return ComplexSeries(s.truncation_order, tuple(coeffs), tuple(bounds))

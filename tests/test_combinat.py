@@ -2,6 +2,7 @@
 
 import itertools
 import operator
+import re
 import time
 from collections import Counter
 
@@ -69,6 +70,104 @@ class TestPartitions:
             Partition((1, 2))
         with pytest.raises(ValueError):
             Partition((2, 0))
+
+
+class _Three:
+    """Not an int, but operator.index reads it as 3."""
+
+    def __index__(self):
+        return 3
+
+
+class _BrokenIndex:
+    def __index__(self):
+        raise TypeError("broken __index__")
+
+
+# the argument errors of this module that no other test reaches, with their
+# exact type and message; the first rows give each constructor a value that
+# operator.index refuses
+ERRORS = [
+    pytest.param(lambda: Partition((2.5, 1)), ValueError,
+                 "not an integer: 2.5", id="Partition-part"),
+    pytest.param(lambda: SUSequence((1, 2.5, 1)), ValueError,
+                 "not an integer: 2.5", id="SUSequence-part"),
+    pytest.param(lambda: combinat.DurfeeSymbol(Partition(), Partition(), 1.5), ValueError,
+                 "not an integer: 1.5", id="DurfeeSymbol-side"),
+    pytest.param(lambda: SUSymbol(Partition(), Partition(), 2.5), ValueError,
+                 "not an integer: 2.5", id="SUSymbol-peak"),
+    pytest.param(lambda: KMarkedDurfeeSymbol((), (), 2.5, 1), ValueError,
+                 "not an integer: 2.5", id="KMarkedDurfeeSymbol-side"),
+    pytest.param(lambda: KMarkedDurfeeSymbol(((2.9, 1),), (), 3, 1), ValueError,
+                 "not an integer: 2.9", id="KMarkedDurfeeSymbol-value"),
+    pytest.param(lambda: KMarkedDurfeeSymbol(((2, 1),), (), 3, 2.0), ValueError,
+                 "not an integer: 2.0", id="KMarkedDurfeeSymbol-k"),
+    pytest.param(lambda: KMarkedSUSymbol((("2", 1),), (), 3, 1), ValueError,
+                 "not an integer: '2'", id="KMarkedSUSymbol-value"),
+    pytest.param(lambda: KMarkedSUSymbol(((1, 1.0),), (), 3, 1), ValueError,
+                 "not an integer: 1.0", id="KMarkedSUSymbol-mark"),
+    pytest.param(lambda: KMarkedSUSymbol((), (), 3.0, 1), ValueError,
+                 "not an integer: 3.0", id="KMarkedSUSymbol-peak"),
+    pytest.param(lambda: Partition((_BrokenIndex(),)), TypeError,
+                 "broken __index__", id="Partition-broken-index"),
+    pytest.param(lambda: combinat.DurfeeSymbol(Partition(), Partition(), 0), ValueError,
+                 "side must be >= 1", id="DurfeeSymbol-side-below-one"),
+    pytest.param(lambda: combinat.DurfeeSymbol(Partition((3,)), Partition(), 2), ValueError,
+                 "part 3 exceeds side 2", id="DurfeeSymbol-part-beyond-side"),
+    pytest.param(lambda: SUSequence((2, 0)), ValueError,
+                 "parts must be positive", id="SUSequence-nonpositive"),
+    pytest.param(lambda: SUSequence((2, 1, 3)), ValueError,
+                 "not strictly increasing before the peak: (2, 1, 3)",
+                 id="SUSequence-left-of-peak"),
+    pytest.param(lambda: SUSymbol(Partition(), Partition(), 0), ValueError,
+                 "peak must be >= 1", id="SUSymbol-peak-below-one"),
+    pytest.param(lambda: SUSymbol(Partition((2, 2)), Partition(), 3), ValueError,
+                 "row not strictly decreasing: (2, 2)", id="SUSymbol-repeated-part"),
+    pytest.param(lambda: KMarkedDurfeeSymbol(((0, 1),), (), 2, 1), ValueError,
+                 "invalid 1-marked Durfee symbol: nonpositive part value 0",
+                 id="marked-nonpositive-value"),
+    pytest.param(lambda: KMarkedSUSymbol(((2, 1), (2, 1)), (), 3, 1), ValueError,
+                 "invalid 1-marked unimodal symbol: row values not strictly decreasing at "
+                 "MarkedPart(value=2, mark=1)", id="marked-unimodal-repeated-value"),
+    pytest.param(lambda: KMarkedDurfeeSymbol((), (), 2, 0), ValueError,
+                 "invalid 0-marked Durfee symbol: mark count k must be >= 1",
+                 id="marked-k-below-one"),
+    pytest.param(lambda: KMarkedSUSymbol((), (), 0, 1), ValueError,
+                 "invalid 1-marked unimodal symbol: peak must be >= 1",
+                 id="marked-peak-below-one"),
+    pytest.param(lambda: list(enumerate_partitions(-1)), ValueError,
+                 "n must be >= 0", id="enumerate_partitions"),
+    pytest.param(lambda: rank_census_partitions(0), ValueError,
+                 "census defined for n >= 1; use count_partitions_by_rank for n=0",
+                 id="rank_census_partitions"),
+    pytest.param(lambda: count_partitions_by_rank(0, -1), ValueError,
+                 "n must be >= 0", id="count_partitions_by_rank"),
+    pytest.param(lambda: list(enumerate_su_sequences(0)), ValueError,
+                 "n must be >= 1", id="enumerate_su_sequences"),
+    pytest.param(lambda: enumerate_self_conjugate_symbols(0), ValueError,
+                 "n must be >= 1", id="enumerate_self_conjugate_symbols"),
+    pytest.param(lambda: count_complete_odd_partitions(-1), ValueError,
+                 "n must be >= 0", id="count_complete_odd_partitions"),
+    pytest.param(lambda: count_even_part_parity(-1, 2), ValueError,
+                 "n must be >= 0", id="count_even_part_parity"),
+    pytest.param(lambda: combinat.count_marked_durfee((0,), 5, 2), ValueError,
+                 "rank vector (0,) has length 1, expected 2", id="count_marked_durfee"),
+    pytest.param(lambda: odd_parts_to_self_conjugate(Partition()), ValueError,
+                 "empty partition has no symbol", id="odd_parts_to_self_conjugate"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", ERRORS)
+def test_argument_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_index_types_stored_as_int():
+    assert Partition((_Three(), True)).parts == (3, 1)
+    sym = KMarkedSUSymbol(((True, True),), (), _Three(), True)
+    assert sym.size == 4 and sym.k == 1
+    assert type(sym.peak) is int and type(sym.top[0].value) is int
 
 
 class TestDurfee:
@@ -523,6 +622,20 @@ class TestEvenPartParity:
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError, match="k >= 2"):
             count_even_part_parity(4, 1)
+
+    def test_first_configuration_at_k_squared(self):
+        # the least one is k ones and the even values 2, 4, .., 2k - 2
+        for k in range(2, 8):
+            for n in range(k * k + 1):
+                expected = even_part_parity_by_recursion(n, k)
+                assert count_even_part_parity(n, k) == expected, (n, k)
+                assert (expected == (0, 0)) == (n < k * k), (n, k)
+
+    def test_huge_k_builds_no_tables(self):
+        # filling k tables of n + 1 rows takes seconds at k = 10**4
+        started = time.perf_counter()
+        assert count_even_part_parity(30, 10 ** 4) == (0, 0)
+        assert time.perf_counter() - started < 0.1
 
 
 class TestSelfConjugateBijection:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,14 @@ class TestSelfConjugateSeries:
         with pytest.raises(ValueError, match="form"):
             genfun.self_conjugate_series(2, 5, "fancy")
 
+    def test_huge_k_stops_at_the_first_empty_level(self):
+        # the levels empty out after about sqrt(2 n_max) of them; walking
+        # the other 10**6 would take seconds
+        started = time.perf_counter()
+        for form in ("raw", "simplified"):
+            assert genfun.self_conjugate_series(10 ** 6, 30, form) == TruncatedSeries.zero(30, 0)
+        assert time.perf_counter() - started < 0.5
+
 
 class TestPsi:
     def test_coefficient_of_one(self):
@@ -182,6 +191,24 @@ def test_negative_truncation_rejected(build):
         build(-1)
 
 
+# the argument errors of this module that no other test reaches, with their
+# exact type and message
+ERRORS = [
+    pytest.param(lambda: genfun.marked_unimodal_rank_series(0, 5), ValueError,
+                 "k must be >= 1", id="marked_unimodal_rank_series-k"),
+    pytest.param(lambda: genfun.self_conjugate_series(0, 5), ValueError,
+                 "k must be >= 1", id="self_conjugate_series-k"),
+    pytest.param(lambda: genfun.mock_theta_psi(5, "fancy"), ValueError,
+                 "unknown form 'fancy'", id="mock_theta_psi-form"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", ERRORS)
+def test_argument_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestChecked:
     """`genfun._checked`, which every multivariate builder returns through."""
 
@@ -213,19 +240,11 @@ class TestChecked:
         assert result.returncode == 0, result.stderr
         assert result.stdout == self.MESSAGE + "\n"
 
-    def test_keys_ascend_and_values_keep(self):
+    def test_returns_its_argument(self):
         terms = {(1, 0): 2, (-1, 1): -3, (0, 0): 5, (-2, 2): 1, (0, -1): 7}
         s = TruncatedSeries(2, 2, [LaurentCoefficient.zero(2), LaurentCoefficient.zero(2),
                                    LaurentCoefficient(2, terms)])
-        checked = genfun._checked(s)
-        assert checked == s
-        assert list(checked.coefficient(2).terms) == sorted(terms)
-
-    def test_builders_return_ascending_keys(self):
-        for s in (genfun.partition_rank_series(12), genfun.marked_durfee_rank_series(2, 12),
-                  genfun.marked_unimodal_rank_series(3, 12)):
-            for coeff in s.coeffs:
-                assert list(coeff.terms) == sorted(coeff.terms)
+        assert genfun._checked(s) is s
 
 
 class TestDeterminism:

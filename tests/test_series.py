@@ -1,5 +1,7 @@
 """Unit and property tests for the exact series engine."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,50 @@ def brute_force_bounded_partitions(n, allowed):
         )
 
     return rec(n, n)
+
+
+# the argument errors of this module that no other test reaches, with their
+# exact type and message
+ERRORS = [
+    pytest.param(lambda: LaurentCoefficient(-1), ValueError, "var_count must be >= 0",
+                 id="LaurentCoefficient-var_count"),
+    pytest.param(lambda: LaurentCoefficient(1).get((0, 0)), ValueError,
+                 "exponent vector (0, 0) has length 2, expected 1", id="LaurentCoefficient.get"),
+    pytest.param(lambda: setattr(LaurentCoefficient(1), "terms", {}), AttributeError,
+                 "LaurentCoefficient is immutable", id="LaurentCoefficient-immutable"),
+    pytest.param(lambda: TruncatedSeries(0, -1), ValueError, "var_count must be >= 0",
+                 id="TruncatedSeries-var_count"),
+    pytest.param(lambda: TruncatedSeries(1, 0, [LaurentCoefficient.zero(0)]), ValueError,
+                 "expected 2 coefficients, got 1", id="TruncatedSeries-coefficient-count"),
+    pytest.param(lambda: TruncatedSeries(0, 1, [LaurentCoefficient.zero(0)]), ValueError,
+                 "mismatched variable count in coefficient list",
+                 id="TruncatedSeries-coefficient-var_count"),
+    pytest.param(lambda: setattr(TruncatedSeries.one(2, 0), "coeffs", ()), AttributeError,
+                 "TruncatedSeries is immutable", id="TruncatedSeries-immutable"),
+    pytest.param(lambda: TruncatedSeries.monomial(1, (), -1, 3), ValueError,
+                 "q_power must be >= 0", id="monomial-negative-q_power"),
+    pytest.param(lambda: TruncatedSeries.one(2, 1).integer_coefficients(), ValueError,
+                 "series has x variables; extract coefficients per exponent",
+                 id="integer_coefficients-x-variables"),
+    pytest.param(lambda: FactorSpec(0), ValueError, "sign must be +1 or -1",
+                 id="FactorSpec-sign"),
+    pytest.param(lambda: FactorSpec(1, 0), ValueError, "var_index is 1-based",
+                 id="FactorSpec-var_index"),
+    pytest.param(lambda: FactorSpec(1, 1, 2), ValueError, "var_exponent must be +1 or -1",
+                 id="FactorSpec-var_exponent"),
+    pytest.param(lambda: FactorSpec(1, None, 1, -1), ValueError, "q_offset must be >= 0",
+                 id="FactorSpec-q_offset"),
+    pytest.param(lambda: FactorSpec(1, None, 1, 0, 0), ValueError, "q_step must be >= 1",
+                 id="FactorSpec-q_step"),
+    pytest.param(lambda: pochhammer(FactorSpec(1), -1, 3, 0), ValueError,
+                 "count must be >= 0 or None for the infinite product", id="pochhammer-count"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", ERRORS)
+def test_argument_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestConstruction:

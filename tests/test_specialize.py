@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from qranks import combinat, genfun
 from qranks.series import LaurentCoefficient, TruncatedSeries
 from qranks.specialize import (
+    ComplexSeries,
+    GaussianSeries,
     RootOfUnityVector,
     specialize_exact,
     specialize_numeric,
@@ -115,6 +118,19 @@ class TestNumeric:
                 diff = abs(numeric.coeffs[n] - complex(*exact.coeffs[n]))
                 assert diff <= numeric.error_bounds[n]
 
+    def test_equal_series_specialize_to_equal_bits(self):
+        # the sum depends on the order of its terms: 70.5 in insertion order
+        # here, 72 in reverse order, unless the specializer fixes the order
+        terms = {(1,): 10 ** 17 + 1, (-1,): -10 ** 17, (2,): 3}
+        v = RootOfUnityVector((Fraction(1, 3),))
+        zero = LaurentCoefficient.zero(1)
+        results = []
+        for keys in (list(terms), list(reversed(terms))):
+            c = LaurentCoefficient(1, {exps: terms[exps] for exps in keys})
+            results.append(specialize_numeric(TruncatedSeries(2, 1, [zero, zero, c]), v))
+        assert results[0].coeffs[2].real == 70.5
+        assert repr(results[0]) == repr(results[1])
+
 
 class TestRootOfUnityVector:
     def test_angles_normalized(self):
@@ -128,15 +144,33 @@ class TestRootOfUnityVector:
             RootOfUnityVector((Fraction(-1, 4),))
 
 
+# the length checks of the result types, with their exact messages
+ERRORS = [
+    pytest.param(lambda: GaussianSeries(1, ((0, 0),)),
+                 "coefficient count does not match truncation order", id="GaussianSeries"),
+    pytest.param(lambda: ComplexSeries(1, (0j,), (0.0, 0.0)),
+                 "coefficient count does not match truncation order", id="ComplexSeries-coeffs"),
+    pytest.param(lambda: ComplexSeries(0, (0j,), ()),
+                 "error bound count does not match truncation order", id="ComplexSeries-bounds"),
+]
+
+
+@pytest.mark.parametrize("call, message", ERRORS)
+def test_argument_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def fraction_loop_numeric(s, v):
-    """Reference for specialize_numeric: each monomial's angle summed as a
-    Fraction and reduced mod 1, quarter turns read from the unit table."""
+    """Reference for specialize_numeric: each coefficient's monomials in
+    ascending exponent order, each angle summed as a Fraction and reduced
+    mod 1, quarter turns read from the unit table."""
     coeffs = []
     bounds = []
     for c in s.coeffs:
         total = 0j
         magnitude = 0
-        for exps, value in c.terms.items():
+        for exps, value in sorted(c.terms.items()):
             angle = Fraction(0)
             for f, e in zip(v.entries, exps):
                 angle += f * e
