@@ -220,8 +220,8 @@ def mock_theta_psi(n_max: int, form: str = "theta") -> TruncatedSeries:
     S(b) = (q^(b^2) + S(b+1)) / (1 - q^(2b-1)).
     form="pochhammer": sum over t >= 1 of q^t (-q^2; q^2)_(t-1), which is
     the k=1 self-conjugate series.
-    form="enumerative": coefficients taken from the self-conjugate symbol
-    counts.  All three agree at every truncation.
+    form="enumerative": coefficients read from one table of the
+    self-conjugate symbol counts.  All three agree at every truncation.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -234,8 +234,8 @@ def mock_theta_psi(n_max: int, form: str = "theta") -> TruncatedSeries:
     if form == "pochhammer":
         return self_conjugate_series(1, n_max, "raw")
     if form == "enumerative":
-        values = [0] + [combinat.count_self_conjugate(n, 1) for n in range(1, n_max + 1)]
-        return TruncatedSeries.from_integer_coefficients(values)
+        return TruncatedSeries.from_integer_coefficients(
+            combinat.marked_unimodal_counts(n_max, 1, symmetric=True)[0])
     raise ValueError(f"unknown form {form!r}")
 
 

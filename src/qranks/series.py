@@ -9,9 +9,10 @@ no floating point enters this module.
 
 Every sum, difference, negation, product, quotient and binomial factor
 goes through one monomial loop, :func:`_shift_add`, on a mutable
-accumulator: a list of exponent->int dicts indexed by the power of q, which
-:meth:`TruncatedSeries._from_buckets` wraps once into the result's
-coefficients.  :func:`_mul_binomial` multiplies such an
+accumulator: a list of exponent->int dicts indexed by the power of q.
+:meth:`TruncatedSeries._from_buckets` is where every constructor turns such
+a list into the result's coefficients, with one zero coefficient shared by
+all the empty ones.  :func:`_mul_binomial` multiplies such an
 accumulator in place by a binomial 1 + c*x^e*q^p in O(N * terms), and
 :func:`pochhammer` is a loop of it.  ``__mul__`` and ``__truediv__`` skip
 the zero coefficients of their operands, so a product with, or a quotient
@@ -105,14 +106,6 @@ class LaurentCoefficient:
     def zero(cls, var_count: int) -> LaurentCoefficient:
         return cls(var_count, {})
 
-    @classmethod
-    def constant(cls, value: int, var_count: int) -> LaurentCoefficient:
-        return cls(var_count, {(0,) * var_count: value})
-
-    @classmethod
-    def monomial(cls, value: int, exponents: tuple[int, ...]) -> LaurentCoefficient:
-        return cls(len(exponents), {tuple(exponents): value})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -192,9 +185,7 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, n_max: int, var_count: int) -> TruncatedSeries:
-        coeffs = [LaurentCoefficient.constant(1, var_count)]
-        coeffs += [LaurentCoefficient.zero(var_count)] * n_max
-        return cls(n_max, var_count, coeffs)
+        return cls._from_buckets(n_max, var_count, [{(0,) * var_count: 1}] + [{}] * n_max)
 
     @classmethod
     def monomial(cls, value: int, exponents: tuple[int, ...], q_power: int,
@@ -204,21 +195,22 @@ class TruncatedSeries:
             raise ValueError("q_power must be >= 0")
         if q_power > n_max:
             raise ValueError(f"exponent beyond truncation: q^{q_power} with n_max={n_max}")
-        var_count = len(exponents)
-        coeffs = [LaurentCoefficient.zero(var_count)] * (n_max + 1)
-        coeffs[q_power] = LaurentCoefficient.monomial(value, exponents)
-        return cls(n_max, var_count, coeffs)
+        buckets: Buckets = [{}] * (n_max + 1)
+        buckets[q_power] = {tuple(exponents): value}
+        return cls._from_buckets(n_max, len(exponents), buckets)
 
     @classmethod
     def _from_buckets(cls, n_max: int, var_count: int,
                       buckets: Buckets) -> TruncatedSeries:
-        return cls(n_max, var_count, [LaurentCoefficient(var_count, b) for b in buckets])
+        """The series with coefficients ``buckets``; the empty ones share one zero."""
+        zero = LaurentCoefficient(var_count)
+        return cls(n_max, var_count,
+                   [LaurentCoefficient(var_count, b) if b else zero for b in buckets])
 
     @classmethod
     def from_integer_coefficients(cls, values: list[int]) -> TruncatedSeries:
         """Variable-free series with the given q^0..q^N integer coefficients."""
-        coeffs = [LaurentCoefficient.constant(v, 0) for v in values]
-        return cls(len(values) - 1, 0, coeffs)
+        return cls._from_buckets(len(values) - 1, 0, [{(): v} if v else {} for v in values])
 
     # ------------------------------------------------------------------
     # arithmetic

@@ -47,8 +47,14 @@ ERRORS = [
                  id="TruncatedSeries-coefficient-var_count"),
     pytest.param(lambda: setattr(TruncatedSeries.one(2, 0), "coeffs", ()), AttributeError,
                  "TruncatedSeries is immutable", id="TruncatedSeries-immutable"),
+    pytest.param(lambda: TruncatedSeries.one(3, -1), ValueError, "var_count must be >= 0",
+                 id="one-var_count"),
+    pytest.param(lambda: TruncatedSeries.one(-1, 2), ValueError,
+                 "truncation_order must be >= 0", id="one-truncation_order"),
     pytest.param(lambda: TruncatedSeries.monomial(1, (), -1, 3), ValueError,
                  "q_power must be >= 0", id="monomial-negative-q_power"),
+    pytest.param(lambda: TruncatedSeries.from_integer_coefficients([]), ValueError,
+                 "truncation_order must be >= 0", id="from_integer_coefficients-empty"),
     pytest.param(lambda: TruncatedSeries.one(2, 1).integer_coefficients(), ValueError,
                  "series has x variables; extract coefficients per exponent",
                  id="integer_coefficients-x-variables"),
@@ -91,6 +97,35 @@ class TestConstruction:
     def test_monomial_beyond_truncation(self):
         with pytest.raises(ValueError, match="exponent beyond truncation"):
             TruncatedSeries.monomial(1, (), 4, 3)
+
+    def test_monomial_with_value_zero_is_zero(self):
+        assert TruncatedSeries.monomial(0, (1,), 2, 3) == TruncatedSeries.zero(3, 1)
+
+    def test_from_integer_coefficients(self):
+        s = TruncatedSeries.from_integer_coefficients([0, 3, 0, -2])
+        assert (s.truncation_order, s.var_count) == (3, 0)
+        assert s.integer_coefficients() == [0, 3, 0, -2]
+        assert [c.terms for c in s.coeffs] == [{}, {(): 3}, {}, {(): -2}]
+        five = TruncatedSeries.from_integer_coefficients([5])
+        assert five == TruncatedSeries.monomial(5, (), 0, 0)
+
+    def test_empty_coefficients_share_one_zero(self):
+        one = TruncatedSeries.one(5, 1)
+        step = TruncatedSeries.monomial(1, (1,), 2, 5)
+        results = {
+            "one": one,
+            "monomial": step,
+            "pochhammer": pochhammer(FactorSpec(-1, 1, 1, 2, 2), 2, 5, 1),
+            "+": one + step,
+            "*": (one + step) * (one + step),
+            "/": one / (one - step),
+            "from_integer_coefficients":
+                TruncatedSeries.from_integer_coefficients([0, 3, 0, -2, 0]),
+        }
+        for name, s in results.items():
+            empty = [c for c in s.coeffs if c.is_zero()]
+            assert len(empty) >= 2, name
+            assert all(c is empty[0] for c in empty), name
 
     def test_zero_terms_never_stored(self):
         c = LaurentCoefficient(1, {(0,): 0, (1,): 3})
