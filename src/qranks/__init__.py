@@ -41,6 +41,7 @@ from .combinat import (
     enumerate_partitions,
     enumerate_self_conjugate_symbols,
     enumerate_su_sequences,
+    even_part_parity_counts,
     marked_durfee_censuses,
     marked_unimodal_censuses,
     marked_unimodal_counts,

@@ -340,8 +340,7 @@ class MarkedPart(NamedTuple):
 
 
 def _canonical_row(row) -> tuple[MarkedPart, ...]:
-    parts = tuple(MarkedPart(*_integers(v, m)) for v, m in row)
-    return tuple(sorted(parts, key=lambda p: (-p.value, -p.mark)))
+    return tuple(sorted((MarkedPart(*_integers(v, m)) for v, m in row), reverse=True))
 
 
 def _render_marked_row(row: tuple[MarkedPart, ...]) -> str:
@@ -506,8 +505,9 @@ def unimodal_ranks(sym: KMarkedSUSymbol) -> RankVector:
 
 
 def _marked_rows(n: int, k: int, strict: bool):
-    """Yield (top, bottom, M_k) for every k-marked symbol of size n, which
-    the caller's frozen class validates; the only code that assigns marks.
+    """Yield (top, bottom, M_k) for every k-marked symbol of size n, rows of
+    (value, mark) pairs that the caller's frozen class validates; the only
+    code that assigns marks.
 
     A symbol is its profile M_1..M_k (M_j the largest mark-j top part for
     j < k, M_k the side or peak) plus free parts, which :func:`_parts` fills
@@ -527,13 +527,13 @@ def _marked_rows(n: int, k: int, strict: bool):
                 pools = [(j, lo, hi - strict) for j, lo, hi in zip(marks, lows, profile)]
                 pools += [(j, lo, hi - (strict and j == k))
                           for j, lo, hi in zip(marks, lows, profile)]
-                forced = tuple(map(MarkedPart, profile[:-1], range(1, k)))
+                forced = tuple(zip(profile[:-1], range(1, k)))
                 # list every pool but the last once, pruned to the budget; the
                 # last pool takes exactly what is left
                 *head, (mark, lo, hi) = pools
                 partial = [((), budget)]
                 for j, lo_j, hi_j in head:
-                    listed = [(s, tuple(MarkedPart(v, j) for v in values))
+                    listed = [(s, tuple((v, j) for v in values))
                               for s in range(budget + 1)
                               for values in _parts(s, hi_j, lo_j, strict)]
                     partial = [(chosen + (piece,), left - s)
@@ -541,7 +541,7 @@ def _marked_rows(n: int, k: int, strict: bool):
                                for s, piece in listed if s <= left]
                 for chosen, left in partial:
                     for values in _parts(left, hi, lo, strict):
-                        filled = chosen + (tuple(MarkedPart(v, mark) for v in values),)
+                        filled = chosen + (tuple((v, mark) for v in values),)
                         yield (forced + sum(filled[:k], ()), sum(filled[k:], ()),
                                profile[-1])
 
@@ -783,10 +783,8 @@ def _complete_odd_partitions(n: int) -> Iterator[tuple[int, ...]]:
             for rest in rec(j - 1, remaining - value * count):
                 yield (value,) * count + rest
 
-    values = 0  # most distinct odd values in n: 1 + 3 + ... + (2v-1) = v^2
-    while (values + 1) ** 2 <= n:
-        values += 1
-    for j in range(values - 1, -1, -1):
+    # at most isqrt(n) distinct odd values, as 1 + 3 + ... + (2v-1) = v^2
+    for j in range(isqrt(n) - 1, -1, -1):
         yield from rec(j, n)
 
 
@@ -841,38 +839,49 @@ def count_even_part_parity(n: int, k: int) -> tuple[int, int]:
     even values carrying marks 1..k-1 (mark j on the j-th smallest value),
     each value repeatable, every even part smaller than twice the number of
     odd parts.  Returns (count with an odd number of even parts, count with
-    an even number of even parts).
+    an even number of even parts): row n of :func:`even_part_parity_counts`.
+    """
+    if k >= 2 and n < 0:  # a k below 2 is refused first, by even_part_parity_counts
+        raise ValueError("n must be >= 0")
+    return even_part_parity_counts(n, k)[n]
 
-    Both are counted in one pass over the number L of odd parts: the odd
-    partitions of L + 2m by how many parts reach 3, 5, ... (a strict
+
+def even_part_parity_counts(n_max: int, k: int) -> list[tuple[int, int]]:
+    """counts[n]: :func:`count_even_part_parity` (n, k) for every n <= n_max.
+
+    All sizes are counted in one pass over the number L of odd parts: the
+    odd partitions of L + 2m by how many parts reach 3, 5, ... (a strict
     partition of m into parts below L), the decorations by ways[c][t][p],
     the choices of c distinct even values below 2L, each used at least
-    once, of total t and part-count parity p.
+    once, of total t and part-count parity p; each L >= k adds into all sizes.
     """
     if k < 2:
         raise ValueError("defined for k >= 2 only")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n < k * k:  # the least configuration: k ones and the even values 2, 4, .., 2k-2
-        return 0, 0
-    strict = [1] + [0] * n  # strict[m]: strict partitions of m into parts below L
-    ways = [[[0, 0] for _ in range(n + 1)] for _ in range(k)]
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if n_max < k * k:  # the least configuration: k ones and the even values 2, .., 2k-2
+        return [(0, 0)] * (n_max + 1)
+    strict = [1] + [0] * n_max  # strict[m]: strict partitions of m into parts below L
+    ways = [[[0, 0] for _ in range(n_max + 1)] for _ in range(k)]
     ways[0][0][0] = 1
-    tallies = [0, 0]
-    for length in range(2, n + 1):
+    tallies = [[0] * (n_max + 1) for _ in (0, 1)]  # tallies[p][n]
+    for length in range(2, n_max + 1):
         part, value = length - 1, 2 * length - 2
-        for m in range(n, part - 1, -1):
+        for m in range(n_max, part - 1, -1):
             strict[m] += strict[m - part]
         # c falls, so ways[c - 1] does not hold the new value yet
         for c in range(k - 1, 0, -1):
-            taken = [[0, 0] for _ in range(n + 1)]  # the new value used >= 1 times
-            for t in range(value, n + 1):
+            taken = [[0, 0] for _ in range(n_max + 1)]  # the new value used >= 1 times
+            for t in range(value, n_max + 1):
                 # one more copy of the value flips the parity of the part count
                 once, again = ways[c - 1][t - value], taken[t - value]
                 taken[t] = [once[1] + again[1], once[0] + again[0]]
                 ways[c][t] = [w + x for w, x in zip(ways[c][t], taken[t])]
         if length >= k:
-            for m in range((n - length) // 2 + 1):
-                for p in (0, 1):
-                    tallies[p] += strict[m] * ways[k - 1][n - length - 2 * m][p]
-    return tallies[1], tallies[0]
+            # even parts only, so a size L + 2i takes strict[m] * ways[k - 1][2(i - m)]
+            for tally, column in zip(tallies, zip(*ways[k - 1][: n_max - length + 1: 2])):
+                sums = [0] * len(column)
+                for m, count in enumerate(strict[: len(column)]):
+                    sums[m:] = map(operator.add, sums[m:], [count * w for w in column])
+                tally[length::2] = map(operator.add, tally[length::2], sums)
+    return list(zip(tallies[1], tallies[0]))

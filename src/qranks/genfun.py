@@ -58,30 +58,32 @@ def _nested_sum(k: int, n_max: int, var_count: int, gap: int, power, step) -> Tr
     S_j(b) is the sum over M_j >= b and the later indices, where
     M_(i+1) >= M_i + gap, and S_(k+1) = 1.  ``step(j, b, head, rest)``
     returns S_j(b) given head = q^power(j, b) * S_(j+1)(b + gap) and
-    rest = S_j(b + 1), or None where that is 0 modulo q^(N+1).
+    rest = S_j(b + 1), which is the zero series at the first b formed on
+    each level.
 
     The least q-power of S_j(b) is power(j, b) plus that of
     S_(j+1)(b + gap); it must grow with b.  Sums whose least q-power
     exceeds n_max are never formed.
     """
+    zero = TruncatedSeries.zero(n_max, var_count)
     one = TruncatedSeries.one(n_max, var_count)
     inner = dict.fromkeys(range(1, n_max + 2), (0, one))  # b -> (least q-power, S_(j+1)(b))
     for j in range(k, 0, -1):
-        level = {}
-        rest = None
+        level, rest = {}, zero
         for b in range(n_max, 0, -1):
             if b + gap not in inner:
                 continue
+            p = power(j, b)
             order, tail = inner[b + gap]
-            order += power(j, b)
+            order += p
             if order <= n_max:
-                monomial = TruncatedSeries.monomial(1, (0,) * var_count, power(j, b), n_max)
+                monomial = TruncatedSeries.monomial(1, (0,) * var_count, p, n_max)
                 rest = step(j, b, monomial * tail, rest)
                 level[b] = order, rest
         inner = level
         if not inner:  # every outer level reads this one, so it is empty too
             break
-    return inner[1][1] if 1 in inner else TruncatedSeries.zero(n_max, var_count)
+    return inner[1][1] if 1 in inner else zero
 
 
 def _durfee_sum(k: int, n_max: int) -> TruncatedSeries:
@@ -94,10 +96,8 @@ def _durfee_sum(k: int, n_max: int) -> TruncatedSeries:
     by (1 - x_j q^b)(1 - x_j^-1 q^b).
     """
     def step(j, b, head, rest):
-        total = head if rest is None else head + rest
-        for exponent in (1, -1):
-            total = total / _binomial(-1, j, exponent, b, n_max, k)
-        return total
+        return ((head + rest) / _binomial(-1, j, 1, b, n_max, k)
+                / _binomial(-1, j, -1, b, n_max, k))
 
     return _nested_sum(k, n_max, k, 0, lambda j, b: b * b if j == k else b, step)
 
@@ -162,12 +162,8 @@ def marked_unimodal_rank_series(k: int, n_max: int) -> TruncatedSeries:
         raise ValueError("k must be >= 1")
 
     def step(j, b, head, rest):
-        if j < k:
-            head = _binomial(1, j, -1, b, n_max, k) * head
-        if rest is None:
-            return head
-        pair = _binomial(1, j, 1, b, n_max, k) * _binomial(1, j, -1, b, n_max, k)
-        return head + pair * rest
+        down = _binomial(1, j, -1, b, n_max, k)
+        return (down * head if j < k else head) + _binomial(1, j, 1, b, n_max, k) * down * rest
 
     return _checked(_nested_sum(k, n_max, k, 1, lambda j, b: b, step))
 
@@ -200,14 +196,11 @@ def self_conjugate_series(k: int, n_max: int, form: str = "raw") -> TruncatedSer
         return b if j == k else 2 * b
 
     def raw_step(j, b, head, rest):
-        return head if rest is None else head + _binomial(1, None, 1, 2 * b, n_max, 0) * rest
+        return head + _binomial(1, None, 1, 2 * b, n_max, 0) * rest
 
     def simplified_step(j, b, head, rest):
-        if j < k:
-            head = head / _binomial(1, None, 1, 2 * b, n_max, 0)
-        else:
-            head = pochhammer(FactorSpec(-1, None, 1, 2, 2), b - 1, n_max, 0) * head
-        return head if rest is None else head + rest
+        return (head / _binomial(1, None, 1, 2 * b, n_max, 0) if j < k
+                else pochhammer(FactorSpec(-1, None, 1, 2, 2), b - 1, n_max, 0) * head) + rest
 
     step = raw_step if form == "raw" else simplified_step
     return _checked(_nested_sum(k, n_max, 0, 1, power, step))
@@ -227,8 +220,7 @@ def mock_theta_psi(n_max: int, form: str = "theta") -> TruncatedSeries:
         raise ValueError("n_max must be >= 0")
     if form == "theta":
         def step(j, b, head, rest):
-            total = head if rest is None else head + rest
-            return total / _binomial(-1, None, 1, 2 * b - 1, n_max, 0)
+            return (head + rest) / _binomial(-1, None, 1, 2 * b - 1, n_max, 0)
 
         return _nested_sum(1, n_max, 0, 0, lambda j, b: b * b, step)
     if form == "pochhammer":
@@ -248,9 +240,6 @@ def even_part_parity_series(k: int, n_max: int) -> TruncatedSeries:
     """
     if k < 2:
         raise ValueError("defined for k >= 2 only")
-    sign = 1 if k % 2 == 0 else -1
-    values = []
-    for n in range(n_max + 1):
-        with_odd, with_even = combinat.count_even_part_parity(n, k)
-        values.append(sign * (with_odd - with_even))
-    return TruncatedSeries.from_integer_coefficients(values)
+    sign = (-1) ** k
+    return TruncatedSeries.from_integer_coefficients(
+        [sign * (odd - even) for odd, even in combinat.even_part_parity_counts(n_max, k)])

@@ -196,7 +196,7 @@ class TruncatedSeries:
         if q_power > n_max:
             raise ValueError(f"exponent beyond truncation: q^{q_power} with n_max={n_max}")
         buckets: Buckets = [{}] * (n_max + 1)
-        buckets[q_power] = {tuple(exponents): value}
+        buckets[q_power] = {tuple(exponents): value} if value else {}
         return cls._from_buckets(n_max, len(exponents), buckets)
 
     @classmethod

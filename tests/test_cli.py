@@ -285,6 +285,10 @@ class TestVerifyCommand:
          "thm-1-2 --n-max 2 --k-max 1",
          ["k=1 n=1: ranks=(1,): series 0 != census 2",
           "k=1 n=2: ranks=(0,): series 1 != census 2"]),
+        # a census that stores a 0 differs from the series in its keys alone
+        ({"marked_unimodal_censuses": lambda n_max, k: [{}, {(0,): 1, (5,): 0}, {(0,): 1}]},
+         "thm-1-2 --n-max 2 --k-max 1",
+         ["k=1 n=1: coefficient sets differ"]),
     ])
     def test_mismatch_details(self, capsys, monkeypatch, patches, argv, fails):
         for name, replacement in patches.items():
@@ -472,6 +476,7 @@ def test_verify_and_specialize_golden(capsys, argv, digest):
     (genfun, "marked_unimodal_rank_series", "series --function uk --k 2 --n-max 4"),
     (genfun, "mock_theta_psi", "verify --suite psi --n-max 3"),
     (combinat, "marked_durfee_censuses", "verify --suite thm-1-1 --n-max 3 --k-max 1"),
+    (combinat, "even_part_parity_counts", "verify --suite thm-1-5 --n-max 4 --k-max 2"),
     (combinat, "enumerate_marked_unimodal", "enumerate --object ksu --n 4 --k 2"),
 ])
 def test_tables_look_functions_up_at_call_time(capsys, monkeypatch, module, name, argv):

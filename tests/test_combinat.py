@@ -41,6 +41,7 @@ from qranks.combinat import (
     enumerate_partitions,
     enumerate_self_conjugate_symbols,
     enumerate_su_sequences,
+    even_part_parity_counts,
     odd_parts_to_self_conjugate,
     rank_census_marked_durfee,
     rank_census_marked_unimodal,
@@ -150,6 +151,12 @@ ERRORS = [
                  "n must be >= 0", id="count_complete_odd_partitions"),
     pytest.param(lambda: count_even_part_parity(-1, 2), ValueError,
                  "n must be >= 0", id="count_even_part_parity"),
+    pytest.param(lambda: count_even_part_parity(-1, 1), ValueError,
+                 "defined for k >= 2 only", id="count_even_part_parity-k-first"),
+    pytest.param(lambda: even_part_parity_counts(-1, 2), ValueError,
+                 "n_max must be >= 0", id="even_part_parity_counts"),
+    pytest.param(lambda: even_part_parity_counts(-1, 1), ValueError,
+                 "defined for k >= 2 only", id="even_part_parity_counts-k-first"),
     pytest.param(lambda: combinat.count_marked_durfee((0,), 5, 2), ValueError,
                  "rank vector (0,) has length 1, expected 2", id="count_marked_durfee"),
     pytest.param(lambda: odd_parts_to_self_conjugate(Partition()), ValueError,
@@ -196,6 +203,11 @@ class TestDurfee:
             ((1,), (1, 1), 1),
             ((), (1, 1, 1), 1),
         ]
+
+    def test_render(self):
+        assert durfee_decompose(Partition((3, 3, 2, 1))).render() == "(2 ; 2+1)_2"
+        sym = combinat.DurfeeSymbol(Partition((2, 1)), Partition(()), 2)
+        assert sym.render() == "(2+1 ; (empty))_2"
 
     def test_round_trip_up_to_twelve(self):
         for n in range(1, 13):
@@ -246,6 +258,13 @@ class TestUnimodalSequences:
 
     def test_total_at_one(self):
         assert count_unimodal_total(1) == 1
+
+    def test_nothing_at_zero(self):
+        assert count_unimodal_total(0) == 0
+        assert count_unimodal_by_rank(0, 0) == 0
+
+    def test_size(self):
+        assert SUSequence((1, 3, 2)).size == 6
 
     def test_census_total(self):
         for n in range(1, 21):
@@ -636,7 +655,14 @@ class TestEvenPartParity:
         started = time.perf_counter()
         assert count_even_part_parity(30, 10 ** 4) == (0, 0)
         assert time.perf_counter() - started < 0.1
+        assert even_part_parity_counts(30, 10 ** 4) == [(0, 0)] * 31
+        assert time.perf_counter() - started < 0.1
 
+    def test_all_sizes_match_each_size(self):
+        for k in range(2, 8):
+            each = [count_even_part_parity(n, k) for n in range(41)]
+            for n_max in range(41):
+                assert even_part_parity_counts(n_max, k) == each[: n_max + 1], (n_max, k)
 
 class TestSelfConjugateBijection:
     def test_one_two_one(self):

@@ -121,6 +121,7 @@ class TestConstruction:
             "/": one / (one - step),
             "from_integer_coefficients":
                 TruncatedSeries.from_integer_coefficients([0, 3, 0, -2, 0]),
+            "monomial(0, ...)": TruncatedSeries.monomial(0, (1,), 2, 5),
         }
         for name, s in results.items():
             empty = [c for c in s.coeffs if c.is_zero()]
@@ -152,6 +153,35 @@ class TestConstruction:
         # the first exponent vector of the wrong length is named, zero value or not
         with pytest.raises(ValueError, match=r"\(1,\) has length 1, expected 2"):
             LaurentCoefficient(2, {(0, 1): 1, (1,): 0, (1, 2, 3): 4})
+
+
+class TestValueSemantics:
+    def test_equality_with_other_types_is_not_implemented(self):
+        for value in (LaurentCoefficient(1), TruncatedSeries.zero(2, 1)):
+            assert value.__eq__(0) is NotImplemented
+            assert value != 0
+
+    def test_equal_values_hash_equal(self):
+        c = LaurentCoefficient(1, {(1,): 3, (-1,): 2})
+        assert hash(c) == hash(LaurentCoefficient(1, {(-1,): 2, (1,): 3}))
+        assert len({c, LaurentCoefficient(1, {(-1,): 2, (1,): 3, (0,): 0})}) == 1
+        step = TruncatedSeries.monomial(1, (1,), 2, 5)
+        one = TruncatedSeries.one(5, 1)
+        assert hash(one + step) == hash(step + one)
+        assert len({one + step, step + one, one}) == 2
+
+    def test_coefficient_repr(self):
+        assert repr(LaurentCoefficient(1)) == "0"
+        assert repr(LaurentCoefficient(2, {(2, 0): 3, (0, -1): -1, (1, 1): 1})) == (
+            "-1*x2^-1 + 1*x1*x2 + 3*x1^2")
+
+    def test_series_repr(self):
+        assert repr(TruncatedSeries.zero(2, 1)) == "<series mod q^3: 0>"
+        assert repr(TruncatedSeries.from_integer_coefficients([0, 2, 0, 3, 4, 5, 6])) == (
+            "<series mod q^7: (2)*q^1 + (3)*q^3 + (4)*q^4 + (5)*q^5 + (6)*q^6>")
+        # six nonzero terms are shown, then an ellipsis
+        assert repr(TruncatedSeries.from_integer_coefficients([1, 2, 0, 3, 4, 5, 6, 7])) == (
+            "<series mod q^8: (1) + (2)*q^1 + (3)*q^3 + (4)*q^4 + (5)*q^5 + (6)*q^6 + ...>")
 
 
 class TestArithmetic:

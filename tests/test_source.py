@@ -53,7 +53,8 @@ def test_combinat_shares_no_code_with_the_series_side():
     assert not names & {"genfun", "series"}, sorted(names)
 
 
-COUNTS = ("count_self_conjugate", "count_even_part_parity", "rank_census_marked_unimodal",
+COUNTS = ("count_self_conjugate", "count_even_part_parity", "even_part_parity_counts",
+          "rank_census_marked_unimodal",
           "rank_census_marked_durfee", "marked_unimodal_censuses", "marked_durfee_censuses",
           "marked_unimodal_counts")
 
