@@ -325,7 +325,7 @@ def _thm15_estimate(n_max: int, k_max: int) -> int:
     """The marked symmetric symbols that `combinat.count_self_conjugate`
     counts for 2 <= k <= k_max, exactly, plus one partition of each size per
     k for the decorated odd-part configurations (odd parts and even
-    decoration) that `combinat.count_even_part_parity` counts."""
+    decoration) that `combinat.even_part_parity_counts` counts."""
     marked = combinat.marked_unimodal_counts(n_max, k_max, symmetric=True)[1:]
     return sum(map(sum, marked)) + (k_max - 1) * sum(_partition_count_list(n_max)[1:])
 

@@ -15,9 +15,12 @@ pool filler, :func:`_marked_rows`, builds the marked symbols of both
 families, which :func:`_marked_violation` validates.  No census or count
 builds one: two walks up the part values, :func:`marked_durfee_censuses`
 and :func:`marked_unimodal_censuses`, count them by size and rank vector
-and share no code with the listing, and one knapsack over the peaks,
+and share no code with the listing, one knapsack over the peaks,
 :func:`marked_unimodal_counts`, counts the marked unimodal and symmetric
-symbols.  Nothing is cached, and nothing is shared with :mod:`qranks.genfun`.
+symbols, and one table grown per number of odd parts,
+:func:`even_part_parity_counts`, counts the decorated odd-part
+configurations by parity.  Nothing is cached, and nothing is shared with
+:mod:`qranks.genfun`.
 """
 
 from __future__ import annotations
@@ -400,17 +403,32 @@ def _marked_violation(top, bottom, last: int, k: int, strict: bool) -> str | Non
         lo, hi = interval(part.mark)
         if not lo <= part.value <= hi:
             return f"bottom part {part} outside [{lo}, {hi}]"
-    # the ordering rules force the same intervals on the top row; a part
-    # outside them means those rules are broken, not that the symbol is
-    for part in top:
-        lo, hi = interval(part.mark)
-        if not lo <= part.value <= hi:
-            raise RuntimeError(f"top part {part} escaped [{lo}, {hi}]")
     return None
 
 
+class _MarkedSymbol:
+    """The construction both marked symbol classes share: the rows are put
+    in canonical order, ``last`` (the side or the peak) and k are read as
+    integers, and :func:`_marked_violation` refuses what is not a symbol.
+    Each class names its ``_last`` field, its ``_strict`` flag and its noun."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "top", _canonical_row(self.top))
+        object.__setattr__(self, "bottom", _canonical_row(self.bottom))
+        last, k = _integers(getattr(self, self._last), self.k)
+        object.__setattr__(self, self._last, last)
+        object.__setattr__(self, "k", k)
+        reason = _marked_violation(self.top, self.bottom, last, k, strict=self._strict)
+        if reason:
+            raise ValueError(f"invalid {k}-marked {self._noun} symbol: {reason}")
+
+    def render(self) -> str:
+        return (f"({_render_marked_row(self.top)} ; "
+                f"{_render_marked_row(self.bottom)})_{getattr(self, self._last)}")
+
+
 @dataclass(frozen=True)
-class KMarkedDurfeeSymbol:
+class KMarkedDurfeeSymbol(_MarkedSymbol):
     """Durfee symbol whose parts carry marks 1..k.
 
     For k >= 2: in each row values are weakly decreasing and marks are
@@ -424,28 +442,15 @@ class KMarkedDurfeeSymbol:
     bottom: tuple[MarkedPart, ...]
     side: int
     k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "top", _canonical_row(self.top))
-        object.__setattr__(self, "bottom", _canonical_row(self.bottom))
-        side, k = _integers(self.side, self.k)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "k", k)
-        reason = _marked_violation(self.top, self.bottom, side, k, strict=False)
-        if reason:
-            raise ValueError(f"invalid {self.k}-marked Durfee symbol: {reason}")
+    _last, _strict, _noun = "side", False, "Durfee"
 
     @property
     def size(self) -> int:
         return self.side * self.side + sum(p.value for p in self.top + self.bottom)
 
-    def render(self) -> str:
-        return (f"({_render_marked_row(self.top)} ; "
-                f"{_render_marked_row(self.bottom)})_{self.side}")
-
 
 @dataclass(frozen=True)
-class KMarkedSUSymbol:
+class KMarkedSUSymbol(_MarkedSymbol):
     """Strongly unimodal symbol whose parts carry marks 1..k.
 
     For k >= 2: in each row values are strictly decreasing and marks are
@@ -460,24 +465,12 @@ class KMarkedSUSymbol:
     bottom: tuple[MarkedPart, ...]
     peak: int
     k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "top", _canonical_row(self.top))
-        object.__setattr__(self, "bottom", _canonical_row(self.bottom))
-        peak, k = _integers(self.peak, self.k)
-        object.__setattr__(self, "peak", peak)
-        object.__setattr__(self, "k", k)
-        reason = _marked_violation(self.top, self.bottom, peak, k, strict=True)
-        if reason:
-            raise ValueError(f"invalid {self.k}-marked unimodal symbol: {reason}")
+    _last, _strict, _noun = "peak", True, "unimodal"
 
     @property
     def size(self) -> int:
         return self.peak + sum(p.value for p in self.top + self.bottom)
 
-    def render(self) -> str:
-        return (f"({_render_marked_row(self.top)} ; "
-                f"{_render_marked_row(self.bottom)})_{self.peak}")
 
 
 def _ranks_from_rows(top, bottom, k: int) -> RankVector:
@@ -849,11 +842,14 @@ def count_even_part_parity(n: int, k: int) -> tuple[int, int]:
 def even_part_parity_counts(n_max: int, k: int) -> list[tuple[int, int]]:
     """counts[n]: :func:`count_even_part_parity` (n, k) for every n <= n_max.
 
-    All sizes are counted in one pass over the number L of odd parts: the
-    odd partitions of L + 2m by how many parts reach 3, 5, ... (a strict
-    partition of m into parts below L), the decorations by ways[c][t][p],
-    the choices of c distinct even values below 2L, each used at least
-    once, of total t and part-count parity p; each L >= k adds into all sizes.
+    One table is grown in place, one pass per number L of odd parts:
+    table[c][s][p] counts the complete odd partitions into L parts of size
+    L + 2m (a strict partition of m into parts below L says how many parts
+    reach 3, 5, ...), decorated with c distinct even values below 2L, each
+    used at least once, where s = 2m plus the total of the even values and
+    p is the parity of the number of even parts.  Each L >= k adds row k - 1
+    into the tallies at size L + s; then the pass admits the even value 2L
+    and the strict part L.
     """
     if k < 2:
         raise ValueError("defined for k >= 2 only")
@@ -861,27 +857,24 @@ def even_part_parity_counts(n_max: int, k: int) -> list[tuple[int, int]]:
         raise ValueError("n_max must be >= 0")
     if n_max < k * k:  # the least configuration: k ones and the even values 2, .., 2k-2
         return [(0, 0)] * (n_max + 1)
-    strict = [1] + [0] * n_max  # strict[m]: strict partitions of m into parts below L
-    ways = [[[0, 0] for _ in range(n_max + 1)] for _ in range(k)]
-    ways[0][0][0] = 1
+    table = [[[0, 0] for _ in range(n_max + 1)] for _ in range(k)]
+    table[0][0][0] = 1
     tallies = [[0] * (n_max + 1) for _ in (0, 1)]  # tallies[p][n]
-    for length in range(2, n_max + 1):
-        part, value = length - 1, 2 * length - 2
-        for m in range(n_max, part - 1, -1):
-            strict[m] += strict[m - part]
-        # c falls, so ways[c - 1] does not hold the new value yet
+    for length in range(1, n_max + 1):
+        value = 2 * length
+        if length >= k:
+            for tally, column in zip(tallies, zip(*table[k - 1][: n_max - length + 1])):
+                tally[length:] = map(operator.add, tally[length:], column)
+        # c falls, so table[c - 1] does not hold the new value yet
         for c in range(k - 1, 0, -1):
             taken = [[0, 0] for _ in range(n_max + 1)]  # the new value used >= 1 times
-            for t in range(value, n_max + 1):
+            for s in range(value, n_max + 1):
                 # one more copy of the value flips the parity of the part count
-                once, again = ways[c - 1][t - value], taken[t - value]
-                taken[t] = [once[1] + again[1], once[0] + again[0]]
-                ways[c][t] = [w + x for w, x in zip(ways[c][t], taken[t])]
-        if length >= k:
-            # even parts only, so a size L + 2i takes strict[m] * ways[k - 1][2(i - m)]
-            for tally, column in zip(tallies, zip(*ways[k - 1][: n_max - length + 1: 2])):
-                sums = [0] * len(column)
-                for m, count in enumerate(strict[: len(column)]):
-                    sums[m:] = map(operator.add, sums[m:], [count * w for w in column])
-                tally[length::2] = map(operator.add, tally[length::2], sums)
+                once, again = table[c - 1][s - value], taken[s - value]
+                taken[s] = [once[1] + again[1], once[0] + again[0]]
+                table[c][s] = [w + x for w, x in zip(table[c][s], taken[s])]
+        # the strict part L, at most once, adds 2L to s
+        for row in table:
+            for s in range(n_max, value - 1, -1):
+                row[s] = [w + x for w, x in zip(row[s], row[s - value])]
     return list(zip(tallies[1], tallies[0]))

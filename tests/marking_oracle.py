@@ -16,7 +16,7 @@ over the peaks.
 The decoration recursion is the reference for
 :func:`qranks.combinat.count_even_part_parity`: it lists every marked even
 decoration of every complete odd partition one by one, where the library
-counts them with tables.
+counts them in one table grown per number of odd parts.
 """
 
 from itertools import combinations_with_replacement

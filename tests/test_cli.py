@@ -462,6 +462,10 @@ GOLDEN_OUTPUT = [
      '03e0de044cd8869dd8c0705953202b6fb38eeb8b6968bab14eeb487c9dcff0ad'),
     ('series --function uk --k 2 --n-max 10 --specialize 1/3,1/5 --format csv',
      'add6b23dcce822e21bb53a261851983d1d6e338fb60ad815358188f45d04ae72'),
+    # recorded later than the entries above; omega-eps is read from
+    # combinat.even_part_parity_counts
+    ('series --function omega-eps --k 3 --n-max 60',
+     '5a4d0ea9debfe96d7013599b3ed32911318386666c982c858339029a2c12ad9b'),
 ]
 
 

@@ -633,6 +633,13 @@ class TestEvenPartParity:
         with_odd, with_even = count_even_part_parity(4, 2)
         assert (with_odd - with_even) == count_self_conjugate(4, 2)
 
+    def test_identity_to_150(self):
+        # Theorem 1.5 on the combinat side, past the decoration recursion's reach
+        for k in range(2, 6):
+            symmetric = combinat.marked_unimodal_counts(150, k, symmetric=True)[-1]
+            for n, (with_odd, with_even) in enumerate(even_part_parity_counts(150, k)):
+                assert symmetric[n] == (-1) ** k * (with_odd - with_even), (n, k)
+
     def test_against_decoration_recursion(self):
         for k in range(2, 6):
             for n in range(41):
