@@ -861,20 +861,21 @@ def even_part_parity_counts(n_max: int, k: int) -> list[tuple[int, int]]:
     table[0][0][0] = 1
     tallies = [[0] * (n_max + 1) for _ in (0, 1)]  # tallies[p][n]
     for length in range(1, n_max + 1):
-        value = 2 * length
+        # no later pass reads a size above top
+        value, top = 2 * length, n_max - length - 1
         if length >= k:
             for tally, column in zip(tallies, zip(*table[k - 1][: n_max - length + 1])):
                 tally[length:] = map(operator.add, tally[length:], column)
         # c falls, so table[c - 1] does not hold the new value yet
-        for c in range(k - 1, 0, -1):
-            taken = [[0, 0] for _ in range(n_max + 1)]  # the new value used >= 1 times
-            for s in range(value, n_max + 1):
+        for c in range(k - 1, 0, -1) if value <= top else ():
+            taken = [[0, 0] for _ in range(top + 1)]  # the new value used >= 1 times
+            for s in range(value, top + 1):
                 # one more copy of the value flips the parity of the part count
                 once, again = table[c - 1][s - value], taken[s - value]
                 taken[s] = [once[1] + again[1], once[0] + again[0]]
                 table[c][s] = [w + x for w, x in zip(table[c][s], taken[s])]
         # the strict part L, at most once, adds 2L to s
         for row in table:
-            for s in range(n_max, value - 1, -1):
+            for s in range(top, value - 1, -1):
                 row[s] = [w + x for w, x in zip(row[s], row[s - value])]
     return list(zip(tallies[1], tallies[0]))

@@ -7,17 +7,16 @@ polynomial in x_1^(+-1), ..., x_k^(+-1).  It is a value type with no
 arithmetic of its own.  All arithmetic is exact Python integer arithmetic;
 no floating point enters this module.
 
-Every sum, difference, negation, product, quotient and binomial factor
-goes through one monomial loop, :func:`_shift_add`, on a mutable
-accumulator: a list of exponent->int dicts indexed by the power of q.
+Every sum, difference, negation, product, quotient and Pochhammer factor
+is one call of :func:`_convolve`, the one loop over the powers of q, on a
+mutable accumulator: a list of exponent->int dicts indexed by the power of
+q.  Its one loop over the monomials is :func:`_shift_add`.
 :meth:`TruncatedSeries._from_buckets` is where every constructor turns such
 a list into the result's coefficients, with one zero coefficient shared by
-all the empty ones.  :func:`_mul_binomial` multiplies such an
-accumulator in place by a binomial 1 + c*x^e*q^p in O(N * terms), and
-:func:`pochhammer` is a loop of it.  ``__mul__`` and ``__truediv__`` skip
-the zero coefficients of their operands, so a product with, or a quotient
-by, a binomial costs about as much as :func:`_mul_binomial`; the builders in
-:mod:`qranks.genfun` rely on that.  ``inverse()`` is the quotient 1 / s.
+all the empty ones.  Zero coefficients cost nothing, so a product with, or
+a quotient by, a binomial 1 + c*x^e*q^p costs O(N * terms), as does each
+factor of :func:`pochhammer`; the builders in :mod:`qranks.genfun` rely on
+that.  ``inverse()`` is the quotient 1 / s.
 
 Values are immutable after construction and all operations are pure, so
 series may be shared freely between threads.
@@ -34,8 +33,7 @@ def _shift_add(target: dict[tuple[int, ...], int], source: dict[tuple[int, ...],
     """Add c * x^exps * source into ``target`` in place, dropping sums that
     reach 0.  An all-zero (or empty) ``exps`` adds ``source`` unshifted.
 
-    This is the only monomial loop: every sum, difference, negation,
-    product, quotient and binomial factor in this module goes through it.
+    This is the only monomial loop, and :func:`_convolve` its only caller.
     """
     if any(exps):
         items = [(tuple(map(add, e, exps)), v) for e, v in source.items()]
@@ -49,27 +47,32 @@ def _shift_add(target: dict[tuple[int, ...], int], source: dict[tuple[int, ...],
             del target[key]
 
 
-def _add_product(bucket: dict[tuple[int, ...], int], terms1: dict[tuple[int, ...], int],
-                 terms2: dict[tuple[int, ...], int]) -> None:
-    """Add terms1 * terms2 into ``bucket`` in place."""
-    for e1, v1 in terms1.items():
-        _shift_add(bucket, terms2, v1, e1)
-
-
 # an accumulator: one exponent->int dict per power of q, truncated at its length
 Buckets = list[dict[tuple[int, ...], int]]
 
 
-def _mul_binomial(acc: Buckets, c: int, exps: tuple[int, ...], p: int) -> None:
-    """Multiply ``acc`` in place by 1 + c*x^exps*q^p, in O(N * terms).
+def _convolve(out: Buckets, left: list[tuple[int, dict[tuple[int, ...], int]]],
+              right: Buckets, c: int) -> None:
+    """Add c * left * right into ``out`` in place, truncated at len(out).
 
-    Walking n downward reads bucket n - p before it changes (a q^0 factor
-    reads a copy); a factor with p beyond the truncation changes nothing.
+    ``left`` lists (j, terms) with j ascending; each nonzero right[i] pushes
+    left[j] * right[i] into q^(i+j).  This is the only loop over the powers
+    of q.  It walks i down when c = 1 and up when c = -1, so with ``right is
+    out`` and every j >= 1, c = 1 multiplies ``out`` in place by 1 + left and
+    c = -1 divides it in place by 1 + left.
     """
-    for n in range(len(acc) - 1, p - 1, -1):
-        source = acc[n - p]
+    if not left:
+        return
+    n = len(out)
+    flat = [(j, exps, c * v) for j, terms in left for exps, v in terms.items()]
+    top = min(n - left[0][0], len(right))
+    for i in range(top - 1, -1, -1) if c == 1 else range(top):
+        source = right[i]
         if source:
-            _shift_add(acc[n], dict(source) if p == 0 else source, c, exps)
+            for j, exps, v in flat:
+                if i + j >= n:
+                    break
+                _shift_add(out[i + j], source, v, exps)
 
 
 class LaurentCoefficient:
@@ -227,8 +230,7 @@ class TruncatedSeries:
         self._check_compatible(other)
         n_max = min(self.truncation_order, other.truncation_order)
         acc: Buckets = [dict(a.terms) for a in self.coeffs[: n_max + 1]]
-        for bucket, b in zip(acc, other.coeffs):
-            _shift_add(bucket, b.terms, c, ())
+        _convolve(acc, [(0, {(0,) * self.var_count: c})], [b.terms for b in other.coeffs], 1)
         return TruncatedSeries._from_buckets(n_max, self.var_count, acc)
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
@@ -244,13 +246,8 @@ class TruncatedSeries:
         self._check_compatible(other)
         n_max = min(self.truncation_order, other.truncation_order)
         acc: Buckets = [{} for _ in range(n_max + 1)]
-        nonzero = [(j, b.terms) for j, b in enumerate(other.coeffs[: n_max + 1]) if b.terms]
-        for i, a in enumerate(self.coeffs[: n_max + 1]):
-            if a.terms:
-                for j, b in nonzero:
-                    if i + j > n_max:
-                        break
-                    _add_product(acc[i + j], a.terms, b)
+        _convolve(acc, [(j, a.terms) for j, a in enumerate(self.coeffs[: n_max + 1]) if a.terms],
+                  [b.terms for b in other.coeffs], 1)
         return TruncatedSeries._from_buckets(n_max, self.var_count, acc)
 
     def __truediv__(self, other: TruncatedSeries) -> TruncatedSeries:
@@ -262,13 +259,8 @@ class TruncatedSeries:
             raise ValueError("non-unit constant term")
         n_max = min(self.truncation_order, other.truncation_order)
         acc: Buckets = [dict(a.terms) for a in self.coeffs[: n_max + 1]]
-        negated = [(j, {exps: -v for exps, v in b.terms.items()})
-                   for j, b in enumerate(other.coeffs[1: n_max + 1], 1) if b.terms]
-        for n, quotient in enumerate(acc):
-            for j, b in negated:
-                if n + j > n_max:
-                    break
-                _add_product(acc[n + j], b, quotient)
+        _convolve(acc, [(j, b.terms) for j, b in enumerate(other.coeffs[1: n_max + 1], 1)
+                        if b.terms], acc, -1)
         return TruncatedSeries._from_buckets(n_max, self.var_count, acc)
 
     def inverse(self) -> TruncatedSeries:
@@ -383,7 +375,9 @@ def pochhammer(spec: FactorSpec, count: int | None, n_max: int,
     j = 0
     # factors beyond q^n_max are 1 modulo q^(n_max+1)
     while q_power <= n_max and (count is None or j < count):
-        _mul_binomial(acc, -spec.sign, exponents, q_power)
+        # a q^0 factor reads a copy of the buckets it changes
+        _convolve(acc, [(q_power, {exponents: -spec.sign})],
+                  acc if q_power else [dict(b) for b in acc], 1)
         q_power += spec.q_step
         j += 1
     return TruncatedSeries._from_buckets(n_max, var_count, acc)

@@ -553,8 +553,8 @@ def test_pochhammer_matches_product_of_factors(var_count, sign, var, exp, offset
 
 
 # ----------------------------------------------------------------------
-# the in-place binomial kernel against the naive route: the binomial as a
-# TruncatedSeries, then __mul__
+# the q-power kernel in place: one Pochhammer factor, and 1 + L for a
+# multi-term L, against the naive route through __mul__ and __truediv__
 # ----------------------------------------------------------------------
 
 
@@ -576,9 +576,11 @@ def kernel_case(draw):
     return s, c, exps, p
 
 
-def run_kernel(kernel, s, c, exps, p):
+def run_in_place(s, left, c, copy=False):
+    """s's buckets after the kernel call with ``right`` the buckets
+    themselves, or a copy of them."""
     acc = [dict(coeff.terms) for coeff in s.coeffs]
-    kernel(acc, c, exps, p)
+    series._convolve(acc, left, [dict(b) for b in acc] if copy else acc, c)
     return TruncatedSeries._from_buckets(s.truncation_order, s.var_count, acc)
 
 
@@ -590,7 +592,28 @@ def run_kernel(kernel, s, c, exps, p):
           (0, 0), 0))
 @example((TruncatedSeries.one(3, 2), -1, (0, 0), 0))
 @example((TruncatedSeries.one(5, 3), -1, (-1, 0, 1), 5))
-def test_mul_binomial_matches_naive(case):
+def test_pochhammer_factor_matches_naive(case):
+    """The call pochhammer makes per factor 1 + c*x^exps*q^p."""
     s, c, exps, p = case
-    assert run_kernel(series._mul_binomial, s, c, exps, p) == s * naive_binomial(
+    assert run_in_place(s, [(p, {exps: c})], 1, copy=p == 0) == s * naive_binomial(
         c, exps, p, s.truncation_order)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_in_place_multiplies_and_divides_by_one_plus_left(data):
+    """With ``right is out`` and every j >= 1, c = 1 multiplies by 1 + L and
+    c = -1 divides by it; L may reach past the truncation."""
+    k = data.draw(st.integers(0, 2))
+    n = data.draw(st.integers(0, 8))
+    s = data.draw(small_series(var_count=k, n_max=n))
+    monomials = data.draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.tuples(*[st.integers(-1, 1)] * k),
+                  st.integers(1, n + 2)), min_size=2, max_size=5))
+    u = TruncatedSeries.one(n + 2, k)
+    for value, exps, j in monomials:
+        u = u + TruncatedSeries.monomial(value, exps, j, n + 2)
+    left = [(j, coeff.terms) for j, coeff in enumerate(u.coeffs[1:], 1) if coeff.terms]
+    one_plus_left = u + TruncatedSeries.zero(n, k)
+    assert run_in_place(s, left, 1) == s * one_plus_left
+    assert run_in_place(s, left, -1) == s / one_plus_left

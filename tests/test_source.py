@@ -90,5 +90,20 @@ def test_counts_build_no_marked_symbol(count):
     assert not found, found
 
 
+def test_one_loop_over_the_powers_of_q():
+    """In `series`, the monomial loop `_shift_add` is referred to once, from
+    `_convolve`, so every sum, product, quotient and Pochhammer factor walks
+    the powers of q in that one kernel."""
+    path = next(p for p in SOURCES if p.name == "series.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def refers(node):
+        return isinstance(node, ast.Name) and node.id == "_shift_add"
+
+    callers = sorted(func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                     for node in ast.walk(func) if refers(node))
+    assert callers == ["_convolve"] and sum(map(refers, ast.walk(tree))) == 1, callers
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"series.py", "genfun.py", "combinat.py"}
