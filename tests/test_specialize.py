@@ -188,9 +188,9 @@ def fraction_loop_numeric(s, v):
 
 @st.composite
 def series_at_angles(draw, values, denominators):
-    """A random series in 1..3 variables and a random angle vector whose
+    """A random series in 0..3 variables and a random angle vector whose
     denominators come from ``denominators``."""
-    k = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 3))
     n_max = draw(st.integers(0, 6))
     exps = st.tuples(*[st.integers(-n_max - 1, n_max + 1)] * k)
     coeffs = [LaurentCoefficient(k, draw(st.dictionaries(exps, values, max_size=6)))
@@ -202,7 +202,9 @@ def series_at_angles(draw, values, denominators):
     return TruncatedSeries(n_max, k, coeffs), RootOfUnityVector(tuple(angles))
 
 
-@given(series_at_angles(st.integers(-10 ** 6, 10 ** 6), range(1, 13)))
+# two large primes: their lcm is about 10^12, far more turn counts than a
+# unit table could hold, so the table holds only those that occur
+@given(series_at_angles(st.integers(-10 ** 6, 10 ** 6), (*range(1, 13), 1000003, 1000033)))
 @settings(max_examples=200, deadline=None)
 def test_numeric_matches_fraction_loop_bit_for_bit(case):
     s, v = case
@@ -211,6 +213,46 @@ def test_numeric_matches_fraction_loop_bit_for_bit(case):
     # repr tells signed zeros apart, which == does not
     assert [repr(z) for z in got.coeffs] == [repr(z) for z in coeffs]
     assert [repr(b) for b in got.error_bounds] == [repr(b) for b in bounds]
+
+
+def fraction_loop_exact(s, v):
+    """Reference for specialize_exact: each monomial's angle summed as a
+    Fraction and reduced mod 1, then read as a power of i."""
+    coeffs = []
+    for c in s.coeffs:
+        re = im = 0
+        for exps, value in c.terms.items():
+            angle = Fraction(0)
+            for f, e in zip(v.entries, exps):
+                angle += f * e
+            angle -= math.floor(angle)
+            ur, ui = _UNITS[int(4 * angle)]
+            re += value * ur
+            im += value * ui
+        coeffs.append((re, im))
+    return coeffs
+
+
+@given(series_at_angles(st.integers(-10 ** 20, 10 ** 20), (1, 2, 4)))
+@settings(max_examples=200, deadline=None)
+def test_exact_matches_fraction_loop(case):
+    s, v = case
+    assert list(specialize_exact(s, v).coeffs) == fraction_loop_exact(s, v)
+
+
+def test_numeric_evaluates_each_root_of_unity_once(monkeypatch):
+    # rk k=2 n=16 has 1890 monomials but only five values of e^(2 pi i t/5)
+    calls = []
+    exp = cmath.exp
+
+    def counting(z):
+        calls.append(z)
+        return exp(z)
+
+    monkeypatch.setattr(cmath, "exp", counting)
+    v = RootOfUnityVector((Fraction(1, 5), Fraction(2, 5)))
+    specialize_numeric(genfun.marked_durfee_rank_series(2, 16), v)
+    assert 0 < len(calls) <= 5
 
 
 # magnitudes past 2^53, where float(value) already rounds
@@ -230,3 +272,4 @@ def test_numeric_error_within_bound_beyond_double_precision(case):
         d_re = Fraction(z.real) - re
         d_im = Fraction(z.imag) - im
         assert d_re * d_re + d_im * d_im <= Fraction(bound) ** 2, n
+
