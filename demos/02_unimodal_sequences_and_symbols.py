@@ -7,8 +7,8 @@ number of parts right of the peak minus the number left of it.
 """
 
 from qranks import (
-    count_unimodal_total,
     enumerate_su_sequences,
+    marked_unimodal_counts,
     su_rank,
     su_symbol,
     unimodal_rank_series,
@@ -21,7 +21,7 @@ for seq in enumerate_su_sequences(4):
 
 print()
 print("Counts u(n) for n = 1..12:")
-print(" ", [count_unimodal_total(n) for n in range(1, 13)])
+print(" ", marked_unimodal_counts(12, 1)[0][1:])
 
 print()
 print("The rank series knows the same numbers: setting x1 = 1 (i.e. summing")

@@ -25,12 +25,7 @@ from .combinat import (
     SUSymbol,
     count_complete_odd_partitions,
     count_even_part_parity,
-    count_marked_durfee,
-    count_marked_unimodal,
-    count_partitions_by_rank,
     count_self_conjugate,
-    count_unimodal_by_rank,
-    count_unimodal_total,
     durfee_decompose,
     durfee_ranks,
     durfee_recompose,

@@ -322,10 +322,11 @@ def _cells_bijections(n_max: int):
 
 
 def _thm15_estimate(n_max: int, k_max: int) -> int:
-    """The marked symmetric symbols that `combinat.count_self_conjugate`
-    counts for 2 <= k <= k_max, exactly, plus one partition of each size per
-    k for the decorated odd-part configurations (odd parts and even
-    decoration) that `combinat.even_part_parity_counts` counts."""
+    """The marked symmetric symbols for 2 <= k <= k_max, counted exactly by
+    the symmetric `combinat.marked_unimodal_counts` table that `thm-1-5`
+    reads, plus one partition of each size per k for the decorated odd-part
+    configurations (odd parts and even decoration) that
+    `combinat.even_part_parity_counts` counts."""
     marked = combinat.marked_unimodal_counts(n_max, k_max, symmetric=True)[1:]
     return sum(map(sum, marked)) + (k_max - 1) * sum(_partition_count_list(n_max)[1:])
 

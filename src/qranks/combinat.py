@@ -123,18 +123,8 @@ def dyson_rank(p: Partition) -> int:
 def rank_census_partitions(n: int) -> dict[int, int]:
     """Map rank -> number of partitions of n with that rank (n >= 1)."""
     if n < 1:
-        raise ValueError("census defined for n >= 1; use count_partitions_by_rank for n=0")
+        raise ValueError("census defined for n >= 1")
     return dict(Counter(map(dyson_rank, enumerate_partitions(n))))
-
-
-def count_partitions_by_rank(m: int, n: int) -> int:
-    """Number of partitions of n with rank m; at n=0 the count is 1 iff m=0.
-    Recounts :func:`rank_census_partitions` each call; for many m, read it once."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1 if m == 0 else 0
-    return rank_census_partitions(n).get(m, 0)
 
 
 # ----------------------------------------------------------------------
@@ -313,20 +303,6 @@ def su_rank(seq: SUSequence) -> int:
 def rank_census_unimodal(n: int) -> dict[int, int]:
     """Map rank -> number of strongly unimodal sequences of size n."""
     return dict(Counter(map(su_rank, enumerate_su_sequences(n))))
-
-
-def count_unimodal_by_rank(m: int, n: int) -> int:
-    """Recounts :func:`rank_census_unimodal` each call; for many m, read it once."""
-    if n < 1:
-        return 0
-    return rank_census_unimodal(n).get(m, 0)
-
-
-def count_unimodal_total(n: int) -> int:
-    """Recounts :func:`rank_census_unimodal` each call."""
-    if n < 1:
-        return 0
-    return sum(rank_census_unimodal(n).values())
 
 
 # ----------------------------------------------------------------------
@@ -656,16 +632,6 @@ def rank_census_marked_unimodal(n: int, k: int) -> dict[RankVector, int]:
     return marked_unimodal_censuses(n, k)[n]
 
 
-def count_marked_unimodal(ranks: RankVector, n: int, k: int) -> int:
-    """Recounts :func:`rank_census_marked_unimodal` each call (no symbol is
-    built); for many ranks, read it once."""
-    if len(ranks) != k:
-        raise ValueError(f"rank vector {ranks!r} has length {len(ranks)}, expected {k}")
-    if n < 1:
-        return 0
-    return rank_census_marked_unimodal(n, k).get(tuple(ranks), 0)
-
-
 def marked_unimodal_counts(n_max: int, k_max: int,
                            symmetric: bool = False) -> list[list[int]]:
     """counts[k - 1][n]: the k-marked strongly unimodal symbols of size n,
@@ -703,16 +669,6 @@ def rank_census_marked_durfee(n: int, k: int) -> dict[RankVector, int]:
     key order: size n of the value walk :func:`marked_durfee_censuses`."""
     _check_marked(n, k)
     return marked_durfee_censuses(n, k)[n]
-
-
-def count_marked_durfee(ranks: RankVector, n: int, k: int) -> int:
-    """Recounts :func:`rank_census_marked_durfee` each call (no symbol is
-    built); for many ranks, read it once."""
-    if len(ranks) != k:
-        raise ValueError(f"rank vector {ranks!r} has length {len(ranks)}, expected {k}")
-    if n < 1:
-        return 0
-    return rank_census_marked_durfee(n, k).get(tuple(ranks), 0)
 
 
 # ----------------------------------------------------------------------

@@ -15,11 +15,11 @@ is 0 modulo q^(N+1) once its least q-power exceeds N, so those sums are
 never formed and the truncated result is exact.
 
 The two self-conjugate forms share the evaluator and the series ring, so
-they are not independent of each other; both are checked against
-:func:`qranks.combinat.count_self_conjugate`, which shares no code with
-this module.  Builders are deterministic and pure, and each one checks
-explicitly (also under ``python -O``) that no rank exponent exceeds the
-size it appears at.
+they are not independent of each other; both are checked against the
+symmetric table of :func:`qranks.combinat.marked_unimodal_counts`, which
+shares no code with this module.  Builders are deterministic and pure,
+and each one checks explicitly (also under ``python -O``) that no rank
+exponent exceeds the size it appears at.
 
 Coefficients of the multivariate series are Laurent polynomials in
 x_1..x_k; the integer attached to x^(m_1,..,m_k) q^n counts symbols of size

@@ -105,10 +105,6 @@ class LaurentCoefficient:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentCoefficient is immutable")
 
-    @classmethod
-    def zero(cls, var_count: int) -> LaurentCoefficient:
-        return cls(var_count, {})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -163,7 +159,7 @@ class TruncatedSeries:
         if var_count < 0:
             raise ValueError("var_count must be >= 0")
         if coeffs is None:
-            coeffs = [LaurentCoefficient.zero(var_count)] * (truncation_order + 1)
+            coeffs = [LaurentCoefficient(var_count)] * (truncation_order + 1)
         if len(coeffs) != truncation_order + 1:
             raise ValueError(
                 f"expected {truncation_order + 1} coefficients, got {len(coeffs)}"
@@ -338,11 +334,6 @@ class FactorSpec:
             raise ValueError("q_offset must be >= 0")
         if self.q_step < 1:
             raise ValueError("q_step must be >= 1")
-
-    def shifted(self, steps: int) -> FactorSpec:
-        """The same factor with the q offset advanced by ``steps`` steps."""
-        return FactorSpec(self.sign, self.var_index, self.var_exponent,
-                          self.q_offset + steps * self.q_step, self.q_step)
 
 
 def pochhammer(spec: FactorSpec, count: int | None, n_max: int,

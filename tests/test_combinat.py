@@ -27,10 +27,7 @@ from qranks.combinat import (
     SUSymbol,
     count_complete_odd_partitions,
     count_even_part_parity,
-    count_partitions_by_rank,
     count_self_conjugate,
-    count_unimodal_by_rank,
-    count_unimodal_total,
     durfee_decompose,
     durfee_ranks,
     durfee_recompose,
@@ -42,6 +39,9 @@ from qranks.combinat import (
     enumerate_self_conjugate_symbols,
     enumerate_su_sequences,
     even_part_parity_counts,
+    marked_durfee_censuses,
+    marked_unimodal_censuses,
+    marked_unimodal_counts,
     odd_parts_to_self_conjugate,
     rank_census_marked_durfee,
     rank_census_marked_unimodal,
@@ -139,10 +139,7 @@ ERRORS = [
     pytest.param(lambda: list(enumerate_partitions(-1)), ValueError,
                  "n must be >= 0", id="enumerate_partitions"),
     pytest.param(lambda: rank_census_partitions(0), ValueError,
-                 "census defined for n >= 1; use count_partitions_by_rank for n=0",
-                 id="rank_census_partitions"),
-    pytest.param(lambda: count_partitions_by_rank(0, -1), ValueError,
-                 "n must be >= 0", id="count_partitions_by_rank"),
+                 "census defined for n >= 1", id="rank_census_partitions"),
     pytest.param(lambda: list(enumerate_su_sequences(0)), ValueError,
                  "n must be >= 1", id="enumerate_su_sequences"),
     pytest.param(lambda: enumerate_self_conjugate_symbols(0), ValueError,
@@ -157,8 +154,6 @@ ERRORS = [
                  "n_max must be >= 0", id="even_part_parity_counts"),
     pytest.param(lambda: even_part_parity_counts(-1, 1), ValueError,
                  "defined for k >= 2 only", id="even_part_parity_counts-k-first"),
-    pytest.param(lambda: combinat.count_marked_durfee((0,), 5, 2), ValueError,
-                 "rank vector (0,) has length 1, expected 2", id="count_marked_durfee"),
     pytest.param(lambda: odd_parts_to_self_conjugate(Partition()), ValueError,
                  "empty partition has no symbol", id="odd_parts_to_self_conjugate"),
 ]
@@ -231,13 +226,8 @@ class TestDysonRank:
         with pytest.raises(ValueError):
             dyson_rank(Partition(()))
 
-    def test_delta_convention_at_zero(self):
-        assert count_partitions_by_rank(0, 0) == 1
-        assert count_partitions_by_rank(3, 0) == 0
-        assert count_partitions_by_rank(-1, 0) == 0
-
     def test_rank_zero_at_four(self):
-        assert count_partitions_by_rank(0, 4) == 1  # only 2+2
+        assert rank_census_partitions(4).get(0, 0) == 1  # only 2+2
 
     def test_census_totals_and_symmetry(self):
         for n in range(1, 21):
@@ -257,11 +247,11 @@ class TestUnimodalSequences:
         assert su_rank(SUSequence((1, 2, 1))) == 0
 
     def test_total_at_one(self):
-        assert count_unimodal_total(1) == 1
+        assert sum(rank_census_unimodal(1).values()) == 1
 
     def test_nothing_at_zero(self):
-        assert count_unimodal_total(0) == 0
-        assert count_unimodal_by_rank(0, 0) == 0
+        assert marked_unimodal_counts(0, 1) == [[0]]
+        assert marked_unimodal_censuses(0, 1) == [{}]
 
     def test_size(self):
         assert SUSequence((1, 3, 2)).size == 6
@@ -269,7 +259,7 @@ class TestUnimodalSequences:
     def test_census_total(self):
         for n in range(1, 21):
             census = rank_census_unimodal(n)
-            assert sum(census.values()) == count_unimodal_total(n)
+            assert sum(census.values()) == len(list(enumerate_su_sequences(n)))
 
     def test_invalid_sequences_rejected(self):
         for bad in ((2, 2), (1, 3, 3, 1), (3, 1, 2), ()):
@@ -448,17 +438,15 @@ class TestMarkedUnimodal:
         assert unimodal_ranks(sym) == (-1, 0)
 
     def test_count_by_rank_vector(self):
-        assert combinat.count_marked_unimodal((0, 0), 3, 2) == 1
-        assert combinat.count_marked_unimodal((-1, 0), 4, 2) == 1
-        assert combinat.count_marked_unimodal((5, 5), 4, 2) == 0
-        assert combinat.count_marked_durfee((0, 0), 2, 2) == 1
-        with pytest.raises(ValueError, match="length"):
-            combinat.count_marked_unimodal((0,), 4, 2)
+        assert marked_unimodal_censuses(3, 2)[3].get((0, 0), 0) == 1
+        assert marked_unimodal_censuses(4, 2)[4].get((-1, 0), 0) == 1
+        assert marked_unimodal_censuses(4, 2)[4].get((5, 5), 0) == 0
+        assert marked_durfee_censuses(2, 2)[2].get((0, 0), 0) == 1
 
-    def test_count_unimodal_by_rank(self):
-        assert count_unimodal_by_rank(0, 4) == 2
-        assert count_unimodal_by_rank(-1, 4) == 1
-        assert count_unimodal_by_rank(7, 4) == 0
+    def test_unimodal_census_by_rank(self):
+        assert rank_census_unimodal(4).get(0, 0) == 2
+        assert rank_census_unimodal(4).get(-1, 0) == 1
+        assert rank_census_unimodal(4).get(7, 0) == 0
 
 
 def _tally(ranks, symbols):
@@ -505,10 +493,6 @@ class TestMarkedCensus:
                               (3, 0, "k must be >= 1"), (-1, 1, "n must be >= 1")):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 census(n, k)
-        count = getattr(combinat, f"count_marked_{family}")
-        with pytest.raises(ValueError, match="^k must be >= 1$"):
-            count((), 3, 0)
-        assert count((0, 0), 0, 2) == 0
 
 
 # the value walk of each marked family, counting every size up to n_max at once

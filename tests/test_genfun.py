@@ -78,7 +78,7 @@ class TestUnimodalRankSeries:
         s = genfun.unimodal_rank_series(12)
         for n in range(1, 13):
             total = sum(s.coefficient(n).terms.values())
-            assert total == combinat.count_unimodal_total(n)
+            assert total == sum(combinat.rank_census_unimodal(n).values())
 
 
 class TestMarkedUnimodalSeries:
@@ -220,8 +220,8 @@ class TestChecked:
 
     def test_names_the_first_offending_key(self):
         # x^(0, 2) q^1 is beyond its size; x^(1, -1) q^1 and everything at q^3 are not
-        coeffs = [LaurentCoefficient.zero(2), LaurentCoefficient(2, {(1, -1): 4, (0, 2): 1}),
-                  LaurentCoefficient.zero(2), LaurentCoefficient(2, {(3, -3): 1})]
+        coeffs = [LaurentCoefficient(2), LaurentCoefficient(2, {(1, -1): 4, (0, 2): 1}),
+                  LaurentCoefficient(2), LaurentCoefficient(2, {(3, -3): 1})]
         with pytest.raises(ArithmeticError, match=r"^rank exponent beyond size: n=1, "
                                                   r"exponents=\(0, 2\)$"):
             genfun._checked(TruncatedSeries(3, 2, coeffs))
@@ -242,7 +242,7 @@ class TestChecked:
 
     def test_returns_its_argument(self):
         terms = {(1, 0): 2, (-1, 1): -3, (0, 0): 5, (-2, 2): 1, (0, -1): 7}
-        s = TruncatedSeries(2, 2, [LaurentCoefficient.zero(2), LaurentCoefficient.zero(2),
+        s = TruncatedSeries(2, 2, [LaurentCoefficient(2), LaurentCoefficient(2),
                                    LaurentCoefficient(2, terms)])
         assert genfun._checked(s) is s
 

@@ -123,7 +123,7 @@ class TestNumeric:
         # here, 72 in reverse order, unless the specializer fixes the order
         terms = {(1,): 10 ** 17 + 1, (-1,): -10 ** 17, (2,): 3}
         v = RootOfUnityVector((Fraction(1, 3),))
-        zero = LaurentCoefficient.zero(1)
+        zero = LaurentCoefficient(1)
         results = []
         for keys in (list(terms), list(reversed(terms))):
             c = LaurentCoefficient(1, {exps: terms[exps] for exps in keys})
