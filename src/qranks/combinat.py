@@ -10,15 +10,17 @@ All enumerations are exhaustive, duplicate-free and returned in a documented
 canonical order so they can serve as oracles for the generating functions in
 :mod:`qranks.genfun`.  Everything is exact integer combinatorics.
 
-One parts enumerator, :func:`_parts`, lists every row and partition, and one
-pool filler, :func:`_marked_rows`, builds the marked symbols of both
-families, which :func:`_marked_violation` validates.  No census or count
-builds one: two walks up the part values, :func:`marked_durfee_censuses`
-and :func:`marked_unimodal_censuses`, count them by size and rank vector
-and share no code with the listing, one knapsack over the peaks,
-:func:`marked_unimodal_counts`, counts the marked unimodal and symmetric
-symbols, and one table grown per number of odd parts,
-:func:`even_part_parity_counts`, counts the decorated odd-part
+One parts enumerator, :func:`_parts`, lists every row and partition in one
+mode (parts between two bounds, weak or strict), and one pool filler,
+:func:`_marked_rows`, builds the marked symbols of both families, which
+:func:`_marked_violation` validates; it takes each chain of largest marked
+parts from :func:`_chains`, a walk that enters only branches that fit.  No
+census or count builds one: two walks up the part values,
+:func:`marked_durfee_censuses` and :func:`marked_unimodal_censuses`, count
+them by size and rank vector and share no code with the listing, one
+knapsack over the peaks, :func:`marked_unimodal_counts`, counts the marked
+unimodal and symmetric symbols, and one table grown per number of odd
+parts, :func:`even_part_parity_counts`, counts the decorated odd-part
 configurations by parity.  Nothing is cached, and nothing is shared with
 :mod:`qranks.genfun`.
 """
@@ -79,29 +81,15 @@ class Partition:
         return "+".join(str(p) for p in self.parts) if self.parts else "(empty)"
 
 
-def _parts(n: int, largest: int, smallest: int = 1, strict: bool = False,
-           length: int | None = None) -> Iterator[tuple[int, ...]]:
+def _parts(n: int, largest: int, smallest: int = 1,
+           strict: bool = False) -> Iterator[tuple[int, ...]]:
     """Weakly (with ``strict``, strictly) decreasing tuples of parts in
-    [smallest, largest] summing to n, in descending lexicographic order;
-    with ``length``, only those of exactly that many parts.
-
-    The length bound prunes as the walk recurses: after a first part f the
-    other length - 1 parts must sum to at least their least possible total
-    and at most the greatest one below f, and every sum between is reached.
-    """
-    if length == 0 or n == 0:
-        if n == 0 and not length:
-            yield ()
+    [smallest, largest] summing to n, in descending lexicographic order."""
+    if n == 0:
+        yield ()
         return
-    top = min(n, largest)
-    if length is not None:
-        rest = length - 1
-        top = min(top, n - rest * smallest - strict * rest * (rest - 1) // 2)
-    for first in range(top, smallest - 1, -1):
-        if length is not None and n - first > rest * first - strict * rest * length // 2:
-            break
-        for tail in _parts(n - first, first - strict, smallest, strict,
-                           None if length is None else length - 1):
+    for first in range(min(n, largest), smallest - 1, -1):
+        for tail in _parts(n - first, first - strict, smallest, strict):
             yield (first,) + tail
 
 
@@ -272,7 +260,11 @@ def su_sequence(sym: SUSymbol) -> SUSequence:
     return SUSequence(parts)
 
 
-def _su_symbols(n: int) -> list[SUSymbol]:
+def enumerate_su_sequences(n: int) -> Iterator[SUSequence]:
+    """All strongly unimodal sequences of size n, in canonical symbol order
+    (peak descending, then top and bottom rows ascending)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     symbols = []
     for peak in range(1, n + 1):
         rest = n - peak
@@ -282,15 +274,7 @@ def _su_symbols(n: int) -> list[SUSymbol]:
                     symbols.append(SUSymbol(Partition(top), Partition(bottom), peak))
     # canonical order: peak descending, then rows ascending lexicographically
     symbols.sort(key=lambda s: (-s.peak, s.top.parts, s.bottom.parts))
-    return symbols
-
-
-def enumerate_su_sequences(n: int) -> Iterator[SUSequence]:
-    """All strongly unimodal sequences of size n, in canonical symbol order
-    (peak descending, then top and bottom rows ascending)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for sym in _su_symbols(n):
+    for sym in symbols:
         yield su_sequence(sym)
 
 
@@ -473,6 +457,20 @@ def unimodal_ranks(sym: KMarkedSUSymbol) -> RankVector:
     return _ranks_from_rows(sym.top, sym.bottom, sym.k)
 
 
+def _chains(count: int, below: int, room: int, strict: bool):
+    """Ascending (with ``strict``, strictly) tuples of ``count`` values in
+    [1, below] summing to at most ``room``; a value is tried only if the
+    smaller ones still fit under it, so every branch ends in a tuple."""
+    if count == 0:
+        yield ()
+        return
+    rest = count - 1
+    least = rest * (rest + 1) // 2 if strict else rest  # the rest's least sum
+    for top in range(count if strict else 1, min(below, room - least) + 1):
+        for chain in _chains(rest, top - strict, room - top, strict):
+            yield chain + (top,)
+
+
 def _marked_rows(n: int, k: int, strict: bool):
     """Yield (top, bottom, M_k) for every k-marked symbol of size n, rows of
     (value, mark) pairs that the caller's frozen class validates; the only
@@ -485,34 +483,35 @@ def _marked_rows(n: int, k: int, strict: bool):
     [M_(j-1), M_j] (M_0 = 1).  Unimodal ones (``strict``) have M_1 < ... <
     M_k = peak and draw top mark j from [M_(j-1)+1, M_j-1], bottom mark j
     from [M_(j-1)+1, M_j] or, for j = k, [M_(k-1)+1, peak-1] (M_0 = 0).
+    The chain M_1..M_(k-1) is an ascending tuple from :func:`_chains`
+    that fits in the room the side or peak leaves.
     """
     marks = range(1, k + 1)
-    for last in range(1, n + 1):
+    for last in range(1, (n if strict else isqrt(n)) + 1):
         room = n - (last if strict else last * last)
-        for size in range(room + 1):
-            for below in _parts(size, last - strict, strict=strict, length=k - 1):
-                profile, budget = below[::-1] + (last,), room - size
-                lows = (1,) + tuple(m + strict for m in profile[:-1])
-                pools = [(j, lo, hi - strict) for j, lo, hi in zip(marks, lows, profile)]
-                pools += [(j, lo, hi - (strict and j == k))
-                          for j, lo, hi in zip(marks, lows, profile)]
-                forced = tuple(zip(profile[:-1], range(1, k)))
-                # list every pool but the last once, pruned to the budget; the
-                # last pool takes exactly what is left
-                *head, (mark, lo, hi) = pools
-                partial = [((), budget)]
-                for j, lo_j, hi_j in head:
-                    listed = [(s, tuple((v, j) for v in values))
-                              for s in range(budget + 1)
-                              for values in _parts(s, hi_j, lo_j, strict)]
-                    partial = [(chosen + (piece,), left - s)
-                               for chosen, left in partial
-                               for s, piece in listed if s <= left]
-                for chosen, left in partial:
-                    for values in _parts(left, hi, lo, strict):
-                        filled = chosen + (tuple((v, mark) for v in values),)
-                        yield (forced + sum(filled[:k], ()), sum(filled[k:], ()),
-                               profile[-1])
+        for below in _chains(k - 1, last - strict, room, strict):
+            budget = room - sum(below)
+            profile = below + (last,)
+            lows = (1,) + tuple(m + strict for m in below)
+            pools = [(j, lo, hi - strict) for j, lo, hi in zip(marks, lows, profile)]
+            pools += [(j, lo, hi - (strict and j == k))
+                      for j, lo, hi in zip(marks, lows, profile)]
+            forced = tuple(zip(below, range(1, k)))
+            # list every pool but the last once, pruned to the budget; the
+            # last pool takes exactly what is left
+            *head, (mark, lo, hi) = pools
+            partial = [((), budget)]
+            for j, lo_j, hi_j in head:
+                listed = [(s, tuple((v, j) for v in values))
+                          for s in range(budget + 1)
+                          for values in _parts(s, hi_j, lo_j, strict)]
+                partial = [(chosen + (piece,), left - s)
+                           for chosen, left in partial
+                           for s, piece in listed if s <= left]
+            for chosen, left in partial:
+                for values in _parts(left, hi, lo, strict):
+                    filled = chosen + (tuple((v, mark) for v in values),)
+                    yield forced + sum(filled[:k], ()), sum(filled[k:], ()), last
 
 
 def _moved(target: dict, tally: dict, step: int | None) -> None:

