@@ -17,12 +17,13 @@ mode (parts between two bounds, weak or strict), and one pool filler,
 parts from :func:`_chains`, a walk that enters only branches that fit.  No
 census or count builds one: two walks up the part values,
 :func:`marked_durfee_censuses` and :func:`marked_unimodal_censuses`, count
-them by size and rank vector and share no code with the listing, one
+them by size and rank vector (an open Durfee mark only at the sizes that
+leave room for its forced parts) and share no code with the listing, one
 knapsack over the peaks, :func:`marked_unimodal_counts`, counts the marked
-unimodal and symmetric symbols, and one table grown per number of odd
-parts, :func:`even_part_parity_counts`, counts the decorated odd-part
-configurations by parity.  Nothing is cached, and nothing is shared with
-:mod:`qranks.genfun`.
+unimodal and symmetric symbols, and two integer tables grown per number of
+odd parts, :func:`even_part_parity_counts`, weigh each even part t = +1 or
+t = -1 to count the decorated odd-part configurations by parity.  Nothing
+is cached, and nothing is shared with :mod:`qranks.genfun`.
 """
 
 from __future__ import annotations
@@ -541,19 +542,20 @@ def marked_durfee_censuses(n_max: int, k: int) -> list[dict[RankVector, int]]:
     At v, mark j takes any number of bottom parts v (- 1 to rank j) and of
     free top parts v (+ 1), then may close with its forced top part M_j = v,
     which adds no rank and opens mark j + 1 at the same v.  Mark k is
-    emitted with side v.
+    emitted with side v.  Mark j at v still owes M_j..M_(k-1) >= v and the
+    square v^2, so its block walks only the sizes that leave room for them.
     """
     censuses, blocks = _walk_start(n_max, k, least=k)
     for v in range(1, isqrt(n_max) + 1) if blocks else ():
-        room = n_max - v * v
         for j, block in enumerate(blocks, 1):
+            room = n_max - v * v - (k - j) * v
             for step in (-1, 1):  # s ascending: v joins as often as it fits
                 for s in range(v, room + 1):
                     _moved(block[s], block[s - v], step)
-            if j < k:
-                for s in range(room + 1 - v):
+            if j < k:  # block j + 1 has v more room
+                for s in range(room + 1):
                     _moved(blocks[j][s + v], block[s], None)
-        for s in range(room + 1):
+        for s in range(n_max - v * v + 1):
             censuses[s + v * v].update(blocks[-1][s])
     return [dict(sorted(census.items())) for census in censuses]
 
@@ -797,14 +799,14 @@ def count_even_part_parity(n: int, k: int) -> tuple[int, int]:
 def even_part_parity_counts(n_max: int, k: int) -> list[tuple[int, int]]:
     """counts[n]: :func:`count_even_part_parity` (n, k) for every n <= n_max.
 
-    One table is grown in place, one pass per number L of odd parts:
-    table[c][s][p] counts the complete odd partitions into L parts of size
-    L + 2m (a strict partition of m into parts below L says how many parts
-    reach 3, 5, ...), decorated with c distinct even values below 2L, each
-    used at least once, where s = 2m plus the total of the even values and
-    p is the parity of the number of even parts.  Each L >= k adds row k - 1
-    into the tallies at size L + s; then the pass admits the even value 2L
-    and the strict part L.
+    Each even part weighs t, and one integer table per t = +1, -1 is grown
+    in place, one pass per number L of odd parts: table[c][s] sums the
+    weights of the complete odd partitions into L parts of size L + 2m (a
+    strict partition of m into parts below L says how many parts reach 3,
+    5, ...), decorated with c distinct even values below 2L, each used at
+    least once, where s = 2m plus the total of the even values.  Each L >= k
+    adds row k - 1 into the tally at size L + s (at t = -1, even minus odd);
+    then the pass admits the even value 2L and the strict part L.
     """
     if k < 2:
         raise ValueError("defined for k >= 2 only")
@@ -812,25 +814,22 @@ def even_part_parity_counts(n_max: int, k: int) -> list[tuple[int, int]]:
         raise ValueError("n_max must be >= 0")
     if n_max < k * k:  # the least configuration: k ones and the even values 2, .., 2k-2
         return [(0, 0)] * (n_max + 1)
-    table = [[[0, 0] for _ in range(n_max + 1)] for _ in range(k)]
-    table[0][0][0] = 1
-    tallies = [[0] * (n_max + 1) for _ in (0, 1)]  # tallies[p][n]
-    for length in range(1, n_max + 1):
-        # no later pass reads a size above top
-        value, top = 2 * length, n_max - length - 1
-        if length >= k:
-            for tally, column in zip(tallies, zip(*table[k - 1][: n_max - length + 1])):
-                tally[length:] = map(operator.add, tally[length:], column)
-        # c falls, so table[c - 1] does not hold the new value yet
-        for c in range(k - 1, 0, -1) if value <= top else ():
-            taken = [[0, 0] for _ in range(top + 1)]  # the new value used >= 1 times
-            for s in range(value, top + 1):
-                # one more copy of the value flips the parity of the part count
-                once, again = table[c - 1][s - value], taken[s - value]
-                taken[s] = [once[1] + again[1], once[0] + again[0]]
-                table[c][s] = [w + x for w, x in zip(table[c][s], taken[s])]
-        # the strict part L, at most once, adds 2L to s
-        for row in table:
-            for s in range(top, value - 1, -1):
-                row[s] = [w + x for w, x in zip(row[s], row[s - value])]
-    return list(zip(tallies[1], tallies[0]))
+    tallies = []
+    for sign in (1, -1):
+        table = [[1] + [0] * n_max] + [[0] * (n_max + 1) for _ in range(k - 1)]
+        tally = [0] * (n_max + 1)
+        for length in range(1, n_max + 1):
+            value, top = 2 * length, n_max - length - 1  # no later pass reads past top
+            if length >= k:
+                tally[length:] = map(operator.add, tally[length:], table[-1])
+            # c falls, so table[c - 1] does not hold the new value yet
+            for c in range(k - 1, 0, -1) if value <= top else ():
+                taken = [0] * (top + 1)  # the new value used >= 1 times
+                for s in range(value, top + 1):
+                    taken[s] = sign * (table[c - 1][s - value] + taken[s - value])
+                table[c][value:top + 1] = map(operator.add, table[c][value:top + 1], taken[value:])
+            # the strict part L, at most once, adds 2L to s
+            for row in table:
+                row[value:top + 1] = map(operator.add, row[value:top + 1], row[:top + 1 - value])
+        tallies.append(tally)
+    return [((total - signed) // 2, (total + signed) // 2) for total, signed in zip(*tallies)]

@@ -466,6 +466,8 @@ GOLDEN_OUTPUT = [
     # combinat.even_part_parity_counts
     ('series --function omega-eps --k 3 --n-max 60',
      '5a4d0ea9debfe96d7013599b3ed32911318386666c982c858339029a2c12ad9b'),
+    ('verify --suite thm-1-5 --n-max 60 --k-max 4',
+     '1a74046502196ddb6333faa7f5a979c6a39090076a871f04384166cec0139a0a'),
     # the benchmark's size: the numeric specializer on 1890 monomials
     ('series --function rk --k 2 --n-max 16 --specialize 1/5,2/5 --format csv',
      '79f639616a2645fc4ae4ac99debca18dadd7782f3b6b971ba9505ffe1703e2c1'),

@@ -1,5 +1,6 @@
 """Tests for enumeration, validation, rank statistics, and bijections."""
 
+import hashlib
 import itertools
 import operator
 import re
@@ -581,6 +582,16 @@ class TestValueWalks:
         assert time.perf_counter() - started < 0.1
         assert result in ({}, [{}] * 6)
 
+    def test_large_k_walks_only_sizes_with_room(self):
+        # each open mark walks only the sizes that leave room for its forced parts
+        started = time.perf_counter()
+        censuses = combinat.marked_durfee_censuses(16, 14)
+        assert time.perf_counter() - started < 0.3
+        for n in range(17):
+            listed = enumerate_marked_durfee(n, 14) if n else []
+            assert censuses[n] == _tally(durfee_ranks, listed), n
+        assert sum(censuses[16].values()) == 406
+
 
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_marked_unimodal_counts_checks_arguments_like_the_walks(symmetric):
@@ -648,6 +659,12 @@ class TestEvenPartParity:
         for k in range(2, 6):
             for n in range(41):
                 assert count_even_part_parity(n, k) == even_part_parity_by_recursion(n, k), (n, k)
+
+    def test_pairs_to_200(self):
+        # the pairs past the decoration recursion's reach (n <= 40)
+        pairs = [even_part_parity_counts(200, k) for k in range(2, 7)]
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
+            "ab083b87ef1702b62c5eefbcda5e7e2ff5f7a7842e3f2528108149908cc01c26")
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError, match="k >= 2"):
