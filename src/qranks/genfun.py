@@ -5,14 +5,16 @@ terms over indices M_1 <= M_2 <= ... <= M_k (strictly increasing for the
 unimodal families).  No builder forms its terms one by one: one evaluator,
 :func:`_nested_sum`, sums from the innermost index outwards (Horner's rule
 for nested sums).  S_j(b), the sum over M_j >= b and every later index,
-follows from S_j(b+1) and from S_(j+1) at M_j = b by one step, which
-multiplies or divides by binomials 1 + c*x^e*q^p (sparse series from
-:func:`qranks.series.pochhammer`) and adds.  A builder therefore makes
-O(k*N) series operations, each costing about O(N * terms) because ``*``
-and ``/`` skip the zero coefficients of their operands, where a
-term-by-term sum makes one such product per factor of every term.  S_j(b)
-is 0 modulo q^(N+1) once its least q-power exceeds N, so those sums are
-never formed and the truncated result is exact.
+follows from S_j(b+1) and from S_(j+1) at M_j = b by one step.  Partial
+sums stay accumulators of the series kernel: a step multiplies or divides
+them in place by binomials 1 + c*x^e*q^p (sparse series from
+:func:`qranks.series.pochhammer`) and adds, and only the final sum becomes
+a series.  A builder thus makes O(k*N) in-place operations of about
+O(N * terms) each, as the kernel skips zero coefficients, where a
+term-by-term sum makes one full product per factor of every term.  Each
+level keeps only the powers of q its outer indices leave room for, and
+S_j(b) is never formed once its least q-power exceeds them, so the
+truncated result is exact.
 
 The two self-conjugate forms share the evaluator and the series ring, so
 they are not independent of each other; both are checked against the
@@ -33,7 +35,7 @@ from __future__ import annotations
 from itertools import chain
 
 from . import combinat
-from .series import FactorSpec, TruncatedSeries, pochhammer
+from .series import Buckets, FactorSpec, TruncatedSeries, _apply_factor, _convolve, pochhammer
 
 
 def _checked(s: TruncatedSeries) -> TruncatedSeries:
@@ -56,34 +58,45 @@ def _nested_sum(k: int, n_max: int, var_count: int, gap: int, power, step) -> Tr
     """S_1(1) for a k-fold nested sum, summed from its innermost index out.
 
     S_j(b) is the sum over M_j >= b and the later indices, where
-    M_(i+1) >= M_i + gap, and S_(k+1) = 1.  ``step(j, b, head, rest)``
-    returns S_j(b) given head = q^power(j, b) * S_(j+1)(b + gap) and
-    rest = S_j(b + 1), which is the zero series at the first b formed on
-    each level.
+    M_(i+1) >= M_i + gap, and S_(k+1) = 1.  Partial sums are accumulators
+    (:data:`qranks.series.Buckets`): ``step(j, b, head, rest)`` turns
+    head = q^power(j, b) * S_(j+1)(b + gap) into S_j(b) in place, given a
+    copy of S_j(b + 1) as rest, or None at the first b of each level.
 
-    The least q-power of S_j(b) is power(j, b) plus that of
-    S_(j+1)(b + gap); it must grow with b.  Sums whose least q-power
-    exceeds n_max are never formed.
+    The outer indices M_i >= 1 + (i-1)*gap add room_j = sum_(i<j)
+    power(i, 1 + (i-1)*gap) to every term of level j, which keeps
+    q^0..q^(n_max - room_j).  The least q-power of S_j(b), power(j, b) plus
+    that of S_(j+1)(b + gap), must grow with b, and power(j, b) >= b; sums
+    whose least q-power exceeds the level's top are never formed.
     """
-    zero = TruncatedSeries.zero(n_max, var_count)
-    one = TruncatedSeries.one(n_max, var_count)
+    tops = [n_max]  # tops[j - 1] = n_max - room_j, for j = 1..k+1
+    for j in range(1, k + 1):
+        tops.append(tops[-1] - power(j, 1 + (j - 1) * gap))
+        if tops[-1] < 0:  # every term has a q-power beyond n_max
+            return TruncatedSeries.zero(n_max, var_count)
+    one = [{(0,) * var_count: 1}] + [{}] * tops[k]
     inner = dict.fromkeys(range(1, n_max + 2), (0, one))  # b -> (least q-power, S_(j+1)(b))
     for j in range(k, 0, -1):
-        level, rest = {}, zero
-        for b in range(n_max, 0, -1):
-            if b + gap not in inner:
-                continue
+        top, level, rest = tops[j - 1], {}, None
+        for b in range(top, (j - 1) * gap, -1):
             p = power(j, b)
-            order, tail = inner[b + gap]
-            order += p
-            if order <= n_max:
-                monomial = TruncatedSeries.monomial(1, (0,) * var_count, p, n_max)
-                rest = step(j, b, monomial * tail, rest)
-                level[b] = order, rest
+            order, tail = inner.get(b + gap, (top + 1, None))  # not formed: 0 up to q^top
+            if order + p <= top:
+                head = [{} for _ in range(p)] + [dict(d) for d in tail[: top + 1 - p]]
+                step(j, b, head, None if rest is None else [dict(d) for d in rest])
+                rest = head
+                level[b] = order + p, rest
         inner = level
         if not inner:  # every outer level reads this one, so it is empty too
             break
-    return inner[1][1] if 1 in inner else zero
+    _, acc = inner.get(1, (0, [{}] * (n_max + 1)))  # level 1 keeps q^0..q^n_max
+    return TruncatedSeries._from_buckets(n_max, var_count, acc)
+
+
+def _add(acc: Buckets, rest: Buckets | None, var_count: int) -> None:
+    """Add ``rest`` into ``acc`` in place; None is 0."""
+    if rest is not None:
+        _convolve(acc, [(0, {(0,) * var_count: 1})], rest, 1)
 
 
 def _durfee_sum(k: int, n_max: int) -> TruncatedSeries:
@@ -96,8 +109,10 @@ def _durfee_sum(k: int, n_max: int) -> TruncatedSeries:
     by (1 - x_j q^b)(1 - x_j^-1 q^b).
     """
     def step(j, b, head, rest):
-        return ((head + rest) / _binomial(-1, j, 1, b, n_max, k)
-                / _binomial(-1, j, -1, b, n_max, k))
+        top = len(head) - 1
+        _add(head, rest, k)
+        _apply_factor(head, _binomial(-1, j, 1, b, top, k), -1)
+        _apply_factor(head, _binomial(-1, j, -1, b, top, k), -1)
 
     return _nested_sum(k, n_max, k, 0, lambda j, b: b * b if j == k else b, step)
 
@@ -162,8 +177,13 @@ def marked_unimodal_rank_series(k: int, n_max: int) -> TruncatedSeries:
         raise ValueError("k must be >= 1")
 
     def step(j, b, head, rest):
-        down = _binomial(1, j, -1, b, n_max, k)
-        return (down * head if j < k else head) + _binomial(1, j, 1, b, n_max, k) * down * rest
+        top = len(head) - 1
+        down = _binomial(1, j, -1, b, top, k)
+        if j < k:
+            _apply_factor(head, down, 1)
+        if rest is not None:
+            _apply_factor(rest, _binomial(1, j, 1, b, top, k) * down, 1)
+        _add(head, rest, k)
 
     return _checked(_nested_sum(k, n_max, k, 1, lambda j, b: b, step))
 
@@ -196,11 +216,17 @@ def self_conjugate_series(k: int, n_max: int, form: str = "raw") -> TruncatedSer
         return b if j == k else 2 * b
 
     def raw_step(j, b, head, rest):
-        return head + _binomial(1, None, 1, 2 * b, n_max, 0) * rest
+        if rest is not None:
+            _apply_factor(rest, _binomial(1, None, 1, 2 * b, len(head) - 1, 0), 1)
+        _add(head, rest, 0)
 
     def simplified_step(j, b, head, rest):
-        return (head / _binomial(1, None, 1, 2 * b, n_max, 0) if j < k
-                else pochhammer(FactorSpec(-1, None, 1, 2, 2), b - 1, n_max, 0) * head) + rest
+        top = len(head) - 1
+        if j < k:
+            _apply_factor(head, _binomial(1, None, 1, 2 * b, top, 0), -1)
+        else:
+            _apply_factor(head, pochhammer(FactorSpec(-1, None, 1, 2, 2), b - 1, top, 0), 1)
+        _add(head, rest, 0)
 
     step = raw_step if form == "raw" else simplified_step
     return _checked(_nested_sum(k, n_max, 0, 1, power, step))
@@ -220,7 +246,8 @@ def mock_theta_psi(n_max: int, form: str = "theta") -> TruncatedSeries:
         raise ValueError("n_max must be >= 0")
     if form == "theta":
         def step(j, b, head, rest):
-            return (head + rest) / _binomial(-1, None, 1, 2 * b - 1, n_max, 0)
+            _add(head, rest, 0)
+            _apply_factor(head, _binomial(-1, None, 1, 2 * b - 1, len(head) - 1, 0), -1)
 
         return _nested_sum(1, n_max, 0, 0, lambda j, b: b * b, step)
     if form == "pochhammer":

@@ -9,14 +9,16 @@ no floating point enters this module.
 
 Every sum, difference, negation, product, quotient and Pochhammer factor
 is one call of :func:`_convolve`, the one loop over the powers of q, on a
-mutable accumulator: a list of exponent->int dicts indexed by the power of
-q.  Its one loop over the monomials is :func:`_shift_add`.
-:meth:`TruncatedSeries._from_buckets` is where every constructor turns such
-a list into the result's coefficients, with one zero coefficient shared by
-all the empty ones.  Zero coefficients cost nothing, so a product with, or
-a quotient by, a binomial 1 + c*x^e*q^p costs O(N * terms), as does each
-factor of :func:`pochhammer`; the builders in :mod:`qranks.genfun` rely on
-that.  ``inverse()`` is the quotient 1 / s.
+mutable accumulator (:data:`Buckets`): a list of exponent->int dicts
+indexed by the power of q.  Its one loop over the monomials is
+:func:`_shift_add`.  :func:`_apply_factor` multiplies or divides an
+accumulator in place by a series with constant term 1: ``/`` does so on a
+copy, and the nested sums of :mod:`qranks.genfun` on their partial sums.
+:meth:`TruncatedSeries._from_buckets` is where every constructor turns an
+accumulator into coefficients, one zero shared by all the empty ones.
+Zero coefficients cost nothing, so a product with, or a quotient by, a
+binomial 1 + c*x^e*q^p costs O(N * terms), as does each factor of
+:func:`pochhammer`.  ``inverse()`` is the quotient 1 / s.
 
 Values are immutable after construction and all operations are pure, so
 series may be shared freely between threads.
@@ -73,6 +75,15 @@ def _convolve(out: Buckets, left: list[tuple[int, dict[tuple[int, ...], int]]],
                 if i + j >= n:
                     break
                 _shift_add(out[i + j], source, v, exps)
+
+
+def _apply_factor(acc: Buckets, factor: TruncatedSeries, c: int) -> None:
+    """Multiply (c = 1) or divide (c = -1) ``acc`` in place by ``factor``,
+    truncated at len(acc); factor's q^0 coefficient must be the integer 1."""
+    if not factor.coeffs[0].is_one():
+        raise ValueError("non-unit constant term")
+    _convolve(acc, [(j, b.terms) for j, b in enumerate(factor.coeffs[1: len(acc)], 1)
+                    if b.terms], acc, c)
 
 
 class LaurentCoefficient:
@@ -251,12 +262,9 @@ class TruncatedSeries:
         the powers of q; other's q^0 coefficient must be the integer 1 (no x
         terms), and then (self / other) * other == self."""
         self._check_compatible(other)
-        if not other.coeffs[0].is_one():
-            raise ValueError("non-unit constant term")
         n_max = min(self.truncation_order, other.truncation_order)
         acc: Buckets = [dict(a.terms) for a in self.coeffs[: n_max + 1]]
-        _convolve(acc, [(j, b.terms) for j, b in enumerate(other.coeffs[1: n_max + 1], 1)
-                        if b.terms], acc, -1)
+        _apply_factor(acc, other, -1)
         return TruncatedSeries._from_buckets(n_max, self.var_count, acc)
 
     def inverse(self) -> TruncatedSeries:

@@ -476,6 +476,10 @@ GOLDEN_OUTPUT = [
      'b6970f49f77ed2fd193aff9c74d52e93e2b30ded6d6763445237765f0a647616'),
     ('enumerate --object kdurfee --n 9 --k 3 --format csv',
      'fb8e8b1e2c6b31d240ba00ff36c19ad19527b07b779097ebf73c5bdd5720418b'),
+    # large k: the inner nested sums of R_k keep only the q-powers their
+    # outer indices leave room for
+    ('verify --suite thm-1-1 --n-max 14 --k-max 10 --budget 100000000000000000',
+     '08c1a60454b348f82d3e19c039e31da80a8d4de799f3de570afa6c73645e888a'),
 ]
 
 

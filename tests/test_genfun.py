@@ -1,5 +1,6 @@
 """Generating-function builders against their enumeration oracles."""
 
+import hashlib
 import itertools
 import os
 import re
@@ -64,6 +65,15 @@ class TestMarkedDurfeeSeries:
         with pytest.raises(ValueError):
             genfun.marked_durfee_rank_series(0, 5)
 
+    def test_large_k_keeps_only_the_room_outer_indices_leave(self):
+        # level j keeps the powers of q up to n_max - (j - 1); a level that
+        # keeps fewer drops terms the censuses count
+        for k in range(11, 15):
+            s = genfun.marked_durfee_rank_series(k, 16)
+            censuses = combinat.marked_durfee_censuses(16, k)
+            for n in range(17):
+                assert s.coeffs[n].terms == censuses[n], (k, n)
+
 
 class TestUnimodalRankSeries:
     def test_first_coefficient(self):
@@ -100,6 +110,15 @@ class TestMarkedUnimodalSeries:
             for n in range(1, 15):
                 assert s.coefficient(n).terms == combinat.rank_census_marked_unimodal(n, k)
 
+    @pytest.mark.parametrize("k,n_max", [(5, 24), (6, 30)])
+    def test_census_oracle_near_the_least_size(self, k, n_max):
+        # a k-marked symbol has size at least k(k+1)/2, so each level has
+        # little room left
+        s = genfun.marked_unimodal_rank_series(k, n_max)
+        censuses = combinat.marked_unimodal_censuses(n_max, k)
+        for n in range(n_max + 1):
+            assert s.coeffs[n].terms == censuses[n], n
+
 
 class TestSelfConjugateSeries:
     def test_k1_coefficient_of_four(self):
@@ -129,8 +148,8 @@ class TestSelfConjugateSeries:
             genfun.self_conjugate_series(2, 5, "fancy")
 
     def test_huge_k_stops_at_the_first_empty_level(self):
-        # the levels empty out after about sqrt(2 n_max) of them; walking
-        # the other 10**6 would take seconds
+        # the outer indices leave no room after about sqrt(2 n_max) levels;
+        # walking the other 10**6 would take seconds
         started = time.perf_counter()
         for form in ("raw", "simplified"):
             assert genfun.self_conjugate_series(10 ** 6, 30, form) == TruncatedSeries.zero(30, 0)
@@ -313,3 +332,56 @@ class TestNestedSumsAgainstTermOracle:
     def test_psi_theta(self):
         for n in range(51):
             assert genfun.mock_theta_psi(n, "theta") == series_oracle.mock_theta_psi_theta(n)
+
+
+# every nested-sum builder with the forms that use it, in the order the
+# digest below was recorded in
+NESTED_CASES = (
+    [("marked_durfee_rank_series", (k, 14)) for k in (1, 2, 3)]
+    + [("marked_unimodal_rank_series", (k, 14)) for k in (1, 2, 3)]
+    + [("self_conjugate_series", (k, 20, form)) for k in (2, 3) for form in ("raw", "simplified")]
+    + [("mock_theta_psi", (30, form)) for form in ("theta", "pochhammer")]
+)
+
+
+class TestAccumulatorSteps:
+    def test_coefficient_dicts_keep_their_insertion_order(self):
+        # demo 03 prints raw `.terms`, so the order of each dict is output
+        dicts = [[list(c.terms.items()) for c in getattr(genfun, name)(*args).coeffs]
+                 for name, args in NESTED_CASES]
+        assert hashlib.sha256(repr(dicts).encode()).hexdigest() == \
+            "068350e4612ef8ca37ec842e54d93d2a49291bc70c54efadc1eabd219a3f5ae6"
+
+    @pytest.mark.parametrize("build", [
+        lambda: genfun.marked_unimodal_rank_series(3, 14),
+        lambda: genfun.marked_durfee_rank_series(2, 14),
+        lambda: genfun.self_conjugate_series(3, 20, "raw"),
+        lambda: genfun.self_conjugate_series(3, 20, "simplified"),
+        lambda: genfun.mock_theta_psi(30, "theta"),
+    ], ids=["uk", "rk", "scuk-raw", "scuk-simplified", "psi-theta"])
+    def test_steps_build_no_partial_sum_as_a_series(self, monkeypatch, build):
+        # partial sums stay accumulators: no series sum or quotient is formed,
+        # and the only products are of binomial factors
+        calls = {"__add__": 0, "__truediv__": 0}
+        operands = []
+
+        def counted(name):
+            original = getattr(TruncatedSeries, name)
+
+            def wrapper(self, other):
+                calls[name] += 1
+                return original(self, other)
+            return wrapper
+
+        original_mul = TruncatedSeries.__mul__
+
+        def mul(self, other):
+            operands.extend(sum(map(len, (c.terms for c in s.coeffs))) for s in (self, other))
+            return original_mul(self, other)
+
+        for name in calls:
+            monkeypatch.setattr(TruncatedSeries, name, counted(name))
+        monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
+        build()
+        assert calls == {"__add__": 0, "__truediv__": 0}
+        assert max(operands, default=0) <= 3, operands

@@ -104,5 +104,18 @@ def test_one_loop_over_the_powers_of_q():
     assert callers == ["_convolve"] and sum(map(refers, ast.walk(tree))) == 1, callers
 
 
+def test_nested_sum_steps_name_no_series():
+    """The Horner steps that `genfun._nested_sum` calls work on accumulators
+    in place: no step body names `TruncatedSeries`."""
+    path = next(p for p in SOURCES if p.name == "genfun.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    steps = [node for func in tree.body if isinstance(func, ast.FunctionDef)
+             for node in ast.walk(func)
+             if isinstance(node, ast.FunctionDef) and node.name.endswith("step")]
+    found = {step.name: step.lineno for step in steps for node in ast.walk(step)
+             if isinstance(node, ast.Name) and node.id == "TruncatedSeries"}
+    assert len(steps) == 5 and not found, (len(steps), found)
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"series.py", "genfun.py", "combinat.py"}
