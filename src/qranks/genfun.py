@@ -7,14 +7,14 @@ unimodal families).  No builder forms its terms one by one: one evaluator,
 for nested sums).  S_j(b), the sum over M_j >= b and every later index,
 follows from S_j(b+1) and from S_(j+1) at M_j = b by one step.  Partial
 sums stay accumulators of the series kernel: a step multiplies or divides
-them in place by binomials 1 + c*x^e*q^p (sparse series from
-:func:`qranks.series.pochhammer`) and adds, and only the final sum becomes
-a series.  A builder thus makes O(k*N) in-place operations of about
-O(N * terms) each, as the kernel skips zero coefficients, where a
-term-by-term sum makes one full product per factor of every term.  Each
-level keeps only the powers of q its outer indices leave room for, and
-S_j(b) is never formed once its least q-power exceeds them, so the
-truncated result is exact.
+them in place by binomials 1 + c*x^e*q^p (:func:`qranks.series._binomial`;
+uk's pair on S_j(b+1) is one product of two series) and adds, and only
+the final sum becomes a series.  A builder thus makes O(k*N) in-place
+operations of about O(N * terms) each, as the kernel skips zero
+coefficients, where a term-by-term sum makes one full product per factor
+of every term.  Each level keeps only the powers of q its outer indices
+leave room for, and S_j(b) is never formed once its least q-power exceeds
+them, so the truncated result is exact.
 
 The two self-conjugate forms share the evaluator and the series ring, so
 they are not independent of each other; both are checked against the
@@ -35,7 +35,8 @@ from __future__ import annotations
 from itertools import chain
 
 from . import combinat
-from .series import Buckets, FactorSpec, TruncatedSeries, _apply_factor, _convolve, pochhammer
+from .series import (Buckets, FactorSpec, TruncatedSeries, _apply_factor, _binomial, _convolve,
+                     _x, pochhammer)
 
 
 def _checked(s: TruncatedSeries) -> TruncatedSeries:
@@ -46,12 +47,6 @@ def _checked(s: TruncatedSeries) -> TruncatedSeries:
             exps = next(exps for exps in c.terms if any(abs(e) > n for e in exps))
             raise ArithmeticError(f"rank exponent beyond size: n={n}, exponents={exps}")
     return s
-
-
-def _binomial(c: int, var: int | None, exponent: int, p: int, n_max: int,
-              var_count: int) -> TruncatedSeries:
-    """The series 1 + c * x_var^exponent * q^p (1 + c*q^p when var is None)."""
-    return pochhammer(FactorSpec(-c, var, exponent, p), 1, n_max, var_count)
 
 
 def _nested_sum(k: int, n_max: int, var_count: int, gap: int, power, step) -> TruncatedSeries:
@@ -109,10 +104,9 @@ def _durfee_sum(k: int, n_max: int) -> TruncatedSeries:
     by (1 - x_j q^b)(1 - x_j^-1 q^b).
     """
     def step(j, b, head, rest):
-        top = len(head) - 1
         _add(head, rest, k)
-        _apply_factor(head, _binomial(-1, j, 1, b, top, k), -1)
-        _apply_factor(head, _binomial(-1, j, -1, b, top, k), -1)
+        _binomial(head, -1, _x(j, 1, k), b, -1)
+        _binomial(head, -1, _x(j, -1, k), b, -1)
 
     return _nested_sum(k, n_max, k, 0, lambda j, b: b * b if j == k else b, step)
 
@@ -177,12 +171,12 @@ def marked_unimodal_rank_series(k: int, n_max: int) -> TruncatedSeries:
         raise ValueError("k must be >= 1")
 
     def step(j, b, head, rest):
-        top = len(head) - 1
-        down = _binomial(1, j, -1, b, top, k)
         if j < k:
-            _apply_factor(head, down, 1)
-        if rest is not None:
-            _apply_factor(rest, _binomial(1, j, 1, b, top, k) * down, 1)
+            _binomial(head, 1, _x(j, -1, k), b)
+        if rest is not None:  # bench/ traces this `*` and `pochhammer` (ROADMAP item 1)
+            top = len(rest) - 1
+            _apply_factor(rest, pochhammer(FactorSpec(-1, j, 1, b), 1, top, k)
+                          * pochhammer(FactorSpec(-1, j, -1, b), 1, top, k), 1)
         _add(head, rest, k)
 
     return _checked(_nested_sum(k, n_max, k, 1, lambda j, b: b, step))
@@ -217,15 +211,15 @@ def self_conjugate_series(k: int, n_max: int, form: str = "raw") -> TruncatedSer
 
     def raw_step(j, b, head, rest):
         if rest is not None:
-            _apply_factor(rest, _binomial(1, None, 1, 2 * b, len(head) - 1, 0), 1)
+            _binomial(rest, 1, (), 2 * b)
         _add(head, rest, 0)
 
     def simplified_step(j, b, head, rest):
-        top = len(head) - 1
         if j < k:
-            _apply_factor(head, _binomial(1, None, 1, 2 * b, top, 0), -1)
+            _binomial(head, 1, (), 2 * b, -1)
         else:
-            _apply_factor(head, pochhammer(FactorSpec(-1, None, 1, 2, 2), b - 1, top, 0), 1)
+            for i in range(1, b):  # (-q^2; q^2)_(b-1)
+                _binomial(head, 1, (), 2 * i)
         _add(head, rest, 0)
 
     step = raw_step if form == "raw" else simplified_step
@@ -247,7 +241,7 @@ def mock_theta_psi(n_max: int, form: str = "theta") -> TruncatedSeries:
     if form == "theta":
         def step(j, b, head, rest):
             _add(head, rest, 0)
-            _apply_factor(head, _binomial(-1, None, 1, 2 * b - 1, len(head) - 1, 0), -1)
+            _binomial(head, -1, (), 2 * b - 1, -1)
 
         return _nested_sum(1, n_max, 0, 0, lambda j, b: b * b, step)
     if form == "pochhammer":

@@ -11,14 +11,15 @@ Every sum, difference, negation, product, quotient and Pochhammer factor
 is one call of :func:`_convolve`, the one loop over the powers of q, on a
 mutable accumulator (:data:`Buckets`): a list of exponent->int dicts
 indexed by the power of q.  Its one loop over the monomials is
-:func:`_shift_add`.  :func:`_apply_factor` multiplies or divides an
-accumulator in place by a series with constant term 1: ``/`` does so on a
-copy, and the nested sums of :mod:`qranks.genfun` on their partial sums.
+:func:`_shift_add`.  :func:`_binomial` multiplies or divides an
+accumulator in place by one binomial 1 + c*x^e*q^p (x^e from :func:`_x`),
+as in :func:`pochhammer` and the nested sums of :mod:`qranks.genfun`;
+:func:`_apply_factor` does so by a series with constant term 1 (``/`` on
+a copy, and uk's steps by a product of two binomials).
 :meth:`TruncatedSeries._from_buckets` is where every constructor turns an
 accumulator into coefficients, one zero shared by all the empty ones.
-Zero coefficients cost nothing, so a product with, or a quotient by, a
-binomial 1 + c*x^e*q^p costs O(N * terms), as does each factor of
-:func:`pochhammer`.  ``inverse()`` is the quotient 1 / s.
+Zero coefficients cost nothing, so a binomial step costs O(N * terms).
+``inverse()`` is the quotient 1 / s.
 
 Values are immutable after construction and all operations are pure, so
 series may be shared freely between threads.
@@ -84,6 +85,17 @@ def _apply_factor(acc: Buckets, factor: TruncatedSeries, c: int) -> None:
         raise ValueError("non-unit constant term")
     _convolve(acc, [(j, b.terms) for j, b in enumerate(factor.coeffs[1: len(acc)], 1)
                     if b.terms], acc, c)
+
+
+def _x(j: int | None, e: int, var_count: int) -> tuple[int, ...]:
+    """The exponent vector of x_j^e (j is 1-based); all zeros when j is None."""
+    return tuple(e if i == j else 0 for i in range(1, var_count + 1))
+
+
+def _binomial(acc: Buckets, c: int, exps: tuple[int, ...], p: int, sign: int = 1) -> None:
+    """Multiply (sign = 1) or, for p >= 1, divide (sign = -1) ``acc`` in place
+    by 1 + c * x^exps * q^p; a q^0 factor reads a copy of the buckets."""
+    _convolve(acc, [(p, {exps: c})], acc if p else [dict(b) for b in acc], sign)
 
 
 class LaurentCoefficient:
@@ -361,22 +373,14 @@ def pochhammer(spec: FactorSpec, count: int | None, n_max: int,
     if count is not None and count < 0:
         raise ValueError("count must be >= 0 or None for the infinite product")
 
-    if spec.var_index is None:
-        exponents = (0,) * var_count
-    else:
-        exponents = tuple(
-            spec.var_exponent if i == spec.var_index - 1 else 0 for i in range(var_count)
-        )
-
+    exponents = _x(spec.var_index, spec.var_exponent, var_count)
     acc: Buckets = [{} for _ in range(n_max + 1)]
     acc[0][(0,) * var_count] = 1
     q_power = spec.q_offset
     j = 0
     # factors beyond q^n_max are 1 modulo q^(n_max+1)
     while q_power <= n_max and (count is None or j < count):
-        # a q^0 factor reads a copy of the buckets it changes
-        _convolve(acc, [(q_power, {exponents: -spec.sign})],
-                  acc if q_power else [dict(b) for b in acc], 1)
+        _binomial(acc, -spec.sign, exponents, q_power)
         q_power += spec.q_step
         j += 1
     return TruncatedSeries._from_buckets(n_max, var_count, acc)

@@ -480,6 +480,12 @@ GOLDEN_OUTPUT = [
     # outer indices leave room for
     ('verify --suite thm-1-1 --n-max 14 --k-max 10 --budget 100000000000000000',
      '08c1a60454b348f82d3e19c039e31da80a8d4de799f3de570afa6c73645e888a'),
+    # nested sums: the simplified self-conjugate form applies (-q^2; q^2)_(b-1)
+    # one binomial at a time, and R_3 divides by two binomials per step
+    ('series --function scuk --k 3 --n-max 60 --form simplified',
+     '1e35084510f4f78d97ad6b93be21bf9912d44da33e14d5f75015540738acad3a'),
+    ('series --function rk --k 3 --n-max 20',
+     '3b787954ed18e0d25ccb7d61053d515af05fde479658a54a67235d9da31d4533'),
 ]
 
 

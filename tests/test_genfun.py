@@ -359,29 +359,28 @@ class TestAccumulatorSteps:
         lambda: genfun.self_conjugate_series(3, 20, "simplified"),
         lambda: genfun.mock_theta_psi(30, "theta"),
     ], ids=["uk", "rk", "scuk-raw", "scuk-simplified", "psi-theta"])
-    def test_steps_build_no_partial_sum_as_a_series(self, monkeypatch, build):
-        # partial sums stay accumulators: no series sum or quotient is formed,
-        # and the only products are of binomial factors
-        calls = {"__add__": 0, "__truediv__": 0}
+    def test_steps_build_no_partial_sum_as_a_series(self, request, monkeypatch, build):
+        # partial sums stay accumulators and each binomial goes to the kernel
+        # as it is: no series sum, quotient or Pochhammer product, and no
+        # series product but uk's (1 + x_j q^b) * (1 + x_j^-1 q^b)
+        calls = dict.fromkeys(["__add__", "__mul__", "__truediv__", "pochhammer"], 0)
         operands = []
 
-        def counted(name):
-            original = getattr(TruncatedSeries, name)
-
-            def wrapper(self, other):
+        def counted(name, original):
+            def wrapper(*args):
                 calls[name] += 1
-                return original(self, other)
+                if name == "__mul__":
+                    operands.extend(sum(len(c.terms) for c in s.coeffs) for s in args)
+                return original(*args)
             return wrapper
 
-        original_mul = TruncatedSeries.__mul__
-
-        def mul(self, other):
-            operands.extend(sum(map(len, (c.terms for c in s.coeffs))) for s in (self, other))
-            return original_mul(self, other)
-
-        for name in calls:
-            monkeypatch.setattr(TruncatedSeries, name, counted(name))
-        monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
+        for name in ("__add__", "__mul__", "__truediv__"):
+            monkeypatch.setattr(TruncatedSeries, name,
+                                counted(name, getattr(TruncatedSeries, name)))
+        monkeypatch.setattr(genfun, "pochhammer", counted("pochhammer", genfun.pochhammer))
         build()
-        assert calls == {"__add__": 0, "__truediv__": 0}
-        assert max(operands, default=0) <= 3, operands
+        if request.node.callspec.id == "uk":  # two one-binomial factors per product
+            assert calls["pochhammer"] <= 2 * calls["__mul__"], calls
+            assert max(operands, default=0) <= 2, operands
+            calls["__mul__"] = calls["pochhammer"] = 0
+        assert calls == dict.fromkeys(calls, 0)

@@ -577,11 +577,10 @@ def kernel_case(draw):
     return s, c, exps, p
 
 
-def run_in_place(s, left, c, copy=False):
-    """s's buckets after the kernel call with ``right`` the buckets
-    themselves, or a copy of them."""
+def run_in_place(s, left, c):
+    """s's buckets after the kernel call with ``right`` the buckets themselves."""
     acc = [dict(coeff.terms) for coeff in s.coeffs]
-    series._convolve(acc, left, [dict(b) for b in acc] if copy else acc, c)
+    series._convolve(acc, left, acc, c)
     return TruncatedSeries._from_buckets(s.truncation_order, s.var_count, acc)
 
 
@@ -594,10 +593,15 @@ def run_in_place(s, left, c, copy=False):
 @example((TruncatedSeries.one(3, 2), -1, (0, 0), 0))
 @example((TruncatedSeries.one(5, 3), -1, (-1, 0, 1), 5))
 def test_pochhammer_factor_matches_naive(case):
-    """The call pochhammer makes per factor 1 + c*x^exps*q^p."""
+    """The in-place step that pochhammer and the nested sums make per factor
+    1 + c*x^exps*q^p: it multiplies, and for p >= 1 also divides."""
     s, c, exps, p = case
-    assert run_in_place(s, [(p, {exps: c})], 1, copy=p == 0) == s * naive_binomial(
-        c, exps, p, s.truncation_order)
+    binomial = naive_binomial(c, exps, p, s.truncation_order)
+    for sign in (1, -1) if p else (1,):
+        acc = [dict(coeff.terms) for coeff in s.coeffs]
+        series._binomial(acc, c, exps, p, sign)
+        got = TruncatedSeries._from_buckets(s.truncation_order, s.var_count, acc)
+        assert got == (s * binomial if sign == 1 else s / binomial)
 
 
 @given(st.data())
