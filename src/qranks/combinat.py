@@ -266,17 +266,13 @@ def enumerate_su_sequences(n: int) -> Iterator[SUSequence]:
     (peak descending, then top and bottom rows ascending)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    symbols = []
-    for peak in range(1, n + 1):
-        rest = n - peak
-        for top_size in range(rest + 1):
-            for top in _parts(top_size, peak - 1, strict=True):
-                for bottom in _parts(rest - top_size, peak - 1, strict=True):
-                    symbols.append(SUSymbol(Partition(top), Partition(bottom), peak))
     # canonical order: peak descending, then rows ascending lexicographically
-    symbols.sort(key=lambda s: (-s.peak, s.top.parts, s.bottom.parts))
-    for sym in symbols:
-        yield su_sequence(sym)
+    rows = sorted((-peak, top, bottom) for peak in range(1, n + 1)
+                  for top_size in range(n - peak + 1)
+                  for top in _parts(top_size, peak - 1, strict=True)
+                  for bottom in _parts(n - peak - top_size, peak - 1, strict=True))
+    for minus_peak, top, bottom in rows:
+        yield SUSequence(bottom[::-1] + (-minus_peak,) + top)
 
 
 def su_rank(seq: SUSequence) -> int:

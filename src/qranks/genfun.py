@@ -6,15 +6,15 @@ unimodal families).  No builder forms its terms one by one: one evaluator,
 :func:`_nested_sum`, sums from the innermost index outwards (Horner's rule
 for nested sums).  S_j(b), the sum over M_j >= b and every later index,
 follows from S_j(b+1) and from S_(j+1) at M_j = b by one step.  Partial
-sums stay accumulators of the series kernel: a step multiplies or divides
-them in place by binomials 1 + c*x^e*q^p (:func:`qranks.series._binomial`;
-uk's pair on S_j(b+1) is one product of two series) and adds, and only
-the final sum becomes a series.  A builder thus makes O(k*N) in-place
-operations of about O(N * terms) each, as the kernel skips zero
-coefficients, where a term-by-term sum makes one full product per factor
-of every term.  Each level keeps only the powers of q its outer indices
-leave room for, and S_j(b) is never formed once its least q-power exceeds
-them, so the truncated result is exact.
+sums stay accumulators, which only :mod:`qranks.series` builds, copies and
+adds: a step multiplies or divides them in place by binomials 1 + c*x^e*q^p
+(:func:`qranks.series._binomial`; uk's pair on S_j(b+1) is one product of
+two series) and adds, and only the final sum becomes a series.  A builder
+thus makes O(k*N) in-place operations of about O(N * terms) each, as the
+kernel skips zero coefficients, where a term-by-term sum makes one full
+product per factor of every term.  Each level keeps only the powers of q
+its outer indices leave room for, and S_j(b) is never formed once its
+least q-power exceeds them, so the truncated result is exact.
 
 The two self-conjugate forms share the evaluator and the series ring, so
 they are not independent of each other; both are checked against the
@@ -35,8 +35,8 @@ from __future__ import annotations
 from itertools import chain
 
 from . import combinat
-from .series import (Buckets, FactorSpec, TruncatedSeries, _apply_factor, _binomial, _convolve,
-                     _x, pochhammer)
+from .series import (FactorSpec, TruncatedSeries, _add, _apply_factor, _binomial, _shifted,
+                     _unit, _x, pochhammer)
 
 
 def _checked(s: TruncatedSeries) -> TruncatedSeries:
@@ -54,9 +54,9 @@ def _nested_sum(k: int, n_max: int, var_count: int, gap: int, power, step) -> Tr
 
     S_j(b) is the sum over M_j >= b and the later indices, where
     M_(i+1) >= M_i + gap, and S_(k+1) = 1.  Partial sums are accumulators
-    (:data:`qranks.series.Buckets`): ``step(j, b, head, rest)`` turns
+    of :mod:`qranks.series`: ``step(j, b, head, rest)`` turns
     head = q^power(j, b) * S_(j+1)(b + gap) into S_j(b) in place, given a
-    copy of S_j(b + 1) as rest, or None at the first b of each level.
+    copy of S_j(b + 1) as rest ([], which is 0, at the first b of each level).
 
     The outer indices M_i >= 1 + (i-1)*gap add room_j = sum_(i<j)
     power(i, 1 + (i-1)*gap) to every term of level j, which keeps
@@ -69,29 +69,19 @@ def _nested_sum(k: int, n_max: int, var_count: int, gap: int, power, step) -> Tr
         tops.append(tops[-1] - power(j, 1 + (j - 1) * gap))
         if tops[-1] < 0:  # every term has a q-power beyond n_max
             return TruncatedSeries.zero(n_max, var_count)
-    one = [{(0,) * var_count: 1}] + [{}] * tops[k]
+    one = _unit(tops[k], var_count)
     inner = dict.fromkeys(range(1, n_max + 2), (0, one))  # b -> (least q-power, S_(j+1)(b))
     for j in range(k, 0, -1):
-        top, level, rest = tops[j - 1], {}, None
+        top, level, rest = tops[j - 1], {}, []
         for b in range(top, (j - 1) * gap, -1):
             p = power(j, b)
             order, tail = inner.get(b + gap, (top + 1, None))  # not formed: 0 up to q^top
             if order + p <= top:
-                head = [{} for _ in range(p)] + [dict(d) for d in tail[: top + 1 - p]]
-                step(j, b, head, None if rest is None else [dict(d) for d in rest])
-                rest = head
-                level[b] = order + p, rest
+                head = _shifted(tail, p, top)
+                step(j, b, head, _shifted(rest, 0, top))
+                rest, level[b] = head, (order + p, head)
         inner = level
-        if not inner:  # every outer level reads this one, so it is empty too
-            break
-    _, acc = inner.get(1, (0, [{}] * (n_max + 1)))  # level 1 keeps q^0..q^n_max
-    return TruncatedSeries._from_buckets(n_max, var_count, acc)
-
-
-def _add(acc: Buckets, rest: Buckets | None, var_count: int) -> None:
-    """Add ``rest`` into ``acc`` in place; None is 0."""
-    if rest is not None:
-        _convolve(acc, [(0, {(0,) * var_count: 1})], rest, 1)
+    return TruncatedSeries._from_buckets(n_max, var_count, inner[1][1])  # S_1(1) to q^n_max
 
 
 def _durfee_sum(k: int, n_max: int) -> TruncatedSeries:
@@ -104,7 +94,7 @@ def _durfee_sum(k: int, n_max: int) -> TruncatedSeries:
     by (1 - x_j q^b)(1 - x_j^-1 q^b).
     """
     def step(j, b, head, rest):
-        _add(head, rest, k)
+        _add(head, rest)
         _binomial(head, -1, _x(j, 1, k), b, -1)
         _binomial(head, -1, _x(j, -1, k), b, -1)
 
@@ -173,11 +163,11 @@ def marked_unimodal_rank_series(k: int, n_max: int) -> TruncatedSeries:
     def step(j, b, head, rest):
         if j < k:
             _binomial(head, 1, _x(j, -1, k), b)
-        if rest is not None:  # bench/ traces this `*` and `pochhammer` (ROADMAP item 1)
+        if rest:  # bench/ traces this `*` and `pochhammer` (ROADMAP item 1)
             top = len(rest) - 1
             _apply_factor(rest, pochhammer(FactorSpec(-1, j, 1, b), 1, top, k)
                           * pochhammer(FactorSpec(-1, j, -1, b), 1, top, k), 1)
-        _add(head, rest, k)
+        _add(head, rest)
 
     return _checked(_nested_sum(k, n_max, k, 1, lambda j, b: b, step))
 
@@ -210,9 +200,8 @@ def self_conjugate_series(k: int, n_max: int, form: str = "raw") -> TruncatedSer
         return b if j == k else 2 * b
 
     def raw_step(j, b, head, rest):
-        if rest is not None:
-            _binomial(rest, 1, (), 2 * b)
-        _add(head, rest, 0)
+        _binomial(rest, 1, (), 2 * b)
+        _add(head, rest)
 
     def simplified_step(j, b, head, rest):
         if j < k:
@@ -220,7 +209,7 @@ def self_conjugate_series(k: int, n_max: int, form: str = "raw") -> TruncatedSer
         else:
             for i in range(1, b):  # (-q^2; q^2)_(b-1)
                 _binomial(head, 1, (), 2 * i)
-        _add(head, rest, 0)
+        _add(head, rest)
 
     step = raw_step if form == "raw" else simplified_step
     return _checked(_nested_sum(k, n_max, 0, 1, power, step))
@@ -240,7 +229,7 @@ def mock_theta_psi(n_max: int, form: str = "theta") -> TruncatedSeries:
         raise ValueError("n_max must be >= 0")
     if form == "theta":
         def step(j, b, head, rest):
-            _add(head, rest, 0)
+            _add(head, rest)
             _binomial(head, -1, (), 2 * b - 1, -1)
 
         return _nested_sum(1, n_max, 0, 0, lambda j, b: b * b, step)

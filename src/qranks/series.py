@@ -11,15 +11,15 @@ Every sum, difference, negation, product, quotient and Pochhammer factor
 is one call of :func:`_convolve`, the one loop over the powers of q, on a
 mutable accumulator (:data:`Buckets`): a list of exponent->int dicts
 indexed by the power of q.  Its one loop over the monomials is
-:func:`_shift_add`.  :func:`_binomial` multiplies or divides an
-accumulator in place by one binomial 1 + c*x^e*q^p (x^e from :func:`_x`),
+:func:`_shift_add`.  Only this module builds (:func:`_unit`), copies
+(:func:`_shifted`) and adds (:func:`_add`) accumulators.  :func:`_binomial`
+multiplies or divides one in place by 1 + c*x^e*q^p (x^e from :func:`_x`),
 as in :func:`pochhammer` and the nested sums of :mod:`qranks.genfun`;
 :func:`_apply_factor` does so by a series with constant term 1 (``/`` on
 a copy, and uk's steps by a product of two binomials).
-:meth:`TruncatedSeries._from_buckets` is where every constructor turns an
-accumulator into coefficients, one zero shared by all the empty ones.
-Zero coefficients cost nothing, so a binomial step costs O(N * terms).
-``inverse()`` is the quotient 1 / s.
+:meth:`TruncatedSeries._from_buckets` turns every constructor's accumulator
+into coefficients, one zero shared by all the empty ones.  A binomial step
+costs O(N * terms), as zero coefficients cost nothing; ``inverse()`` is 1 / s.
 
 Values are immutable after construction and all operations are pure, so
 series may be shared freely between threads.
@@ -85,6 +85,21 @@ def _apply_factor(acc: Buckets, factor: TruncatedSeries, c: int) -> None:
         raise ValueError("non-unit constant term")
     _convolve(acc, [(j, b.terms) for j, b in enumerate(factor.coeffs[1: len(acc)], 1)
                     if b.terms], acc, c)
+
+
+def _unit(top: int, var_count: int) -> Buckets:
+    """A new accumulator of 1 at q^0..q^top."""
+    return [{(0,) * var_count: 1}] + [{} for _ in range(top)]
+
+
+def _shifted(acc: Buckets, p: int, top: int) -> Buckets:
+    """A new accumulator of q^p * acc up to q^top, p <= top + 1; it ends where acc ends."""
+    return [{} for _ in range(p)] + [dict(b) for b in acc[: top + 1 - p]]
+
+
+def _add(acc: Buckets, rest: Buckets, c: int = 1) -> None:
+    """Add c * rest into ``acc`` in place, truncated at len(acc), at any variable count."""
+    _convolve(acc, [(0, {(): c})], rest, 1)
 
 
 def _x(j: int | None, e: int, var_count: int) -> tuple[int, ...]:
@@ -207,7 +222,7 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, n_max: int, var_count: int) -> TruncatedSeries:
-        return cls._from_buckets(n_max, var_count, [{(0,) * var_count: 1}] + [{}] * n_max)
+        return cls._from_buckets(n_max, var_count, _unit(n_max, var_count))
 
     @classmethod
     def monomial(cls, value: int, exponents: tuple[int, ...], q_power: int,
@@ -249,7 +264,7 @@ class TruncatedSeries:
         self._check_compatible(other)
         n_max = min(self.truncation_order, other.truncation_order)
         acc: Buckets = [dict(a.terms) for a in self.coeffs[: n_max + 1]]
-        _convolve(acc, [(0, {(0,) * self.var_count: c})], [b.terms for b in other.coeffs], 1)
+        _add(acc, [b.terms for b in other.coeffs], c)
         return TruncatedSeries._from_buckets(n_max, self.var_count, acc)
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
@@ -374,8 +389,7 @@ def pochhammer(spec: FactorSpec, count: int | None, n_max: int,
         raise ValueError("count must be >= 0 or None for the infinite product")
 
     exponents = _x(spec.var_index, spec.var_exponent, var_count)
-    acc: Buckets = [{} for _ in range(n_max + 1)]
-    acc[0][(0,) * var_count] = 1
+    acc = _unit(n_max, var_count)
     q_power = spec.q_offset
     j = 0
     # factors beyond q^n_max are 1 modulo q^(n_max+1)

@@ -622,3 +622,40 @@ def test_in_place_multiplies_and_divides_by_one_plus_left(data):
     one_plus_left = u + TruncatedSeries.zero(n, k)
     assert run_in_place(s, left, 1) == s * one_plus_left
     assert run_in_place(s, left, -1) == s / one_plus_left
+
+
+def test_empty_accumulator_is_zero_in_place():
+    """The nested sums start each level's partial sum as []: every in-place
+    entry leaves [] as [], and adding [] changes nothing."""
+    for p in (1, 3):
+        for sign in (1, -1):
+            acc = []
+            series._binomial(acc, -1, (1, 0), p, sign)
+            assert acc == []
+    acc = []
+    series._apply_factor(acc, naive_binomial(1, (0, -1), 2, 5), 1)
+    series._add(acc, [{(0, 0): 1}, {(1, 0): 2}])
+    assert acc == []
+    acc = [{(0, 0): 1}, {(1, 0): 2}]
+    series._add(acc, [], -1)
+    assert acc == [{(0, 0): 1}, {(1, 0): 2}]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_shifted_copy_and_unit_match_series(data):
+    """q^p * acc up to q^top is s * q^p truncated at top, in new dicts, and
+    the unit accumulator is TruncatedSeries.one."""
+    k = data.draw(st.integers(0, 2))
+    n = data.draw(st.integers(0, 10))
+    s = data.draw(small_series(var_count=k, n_max=n))
+    top = data.draw(st.integers(0, n))
+    p = data.draw(st.integers(0, top))
+    acc = [dict(coeff.terms) for coeff in s.coeffs]
+    shifted = series._shifted(acc, p, top)
+    assert TruncatedSeries._from_buckets(top, k, shifted) == \
+        s * TruncatedSeries.monomial(1, (0,) * k, p, top)
+    assert set(map(id, shifted)).isdisjoint(map(id, acc))
+    unit = series._unit(n, k)
+    assert TruncatedSeries._from_buckets(n, k, unit) == TruncatedSeries.one(n, k)
+    assert len(set(map(id, unit))) == n + 1

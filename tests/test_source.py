@@ -117,5 +117,17 @@ def test_nested_sum_steps_name_no_series():
     assert len(steps) == 5 and not found, (len(steps), found)
 
 
+def test_genfun_leaves_the_accumulator_layout_to_series():
+    """`genfun` builds, copies and adds accumulators only through `series`:
+    it names neither the kernel loop `_convolve` nor the layout `Buckets`."""
+    path = next(p for p in SOURCES if p.name == "genfun.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    names |= {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    found = names & {"_convolve", "Buckets"}
+    assert not found, sorted(found)
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"series.py", "genfun.py", "combinat.py"}
