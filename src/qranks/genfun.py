@@ -7,14 +7,14 @@ unimodal families).  No builder forms its terms one by one: one evaluator,
 for nested sums).  S_j(b), the sum over M_j >= b and every later index,
 follows from S_j(b+1) and from S_(j+1) at M_j = b by one step.  Partial
 sums stay accumulators, which only :mod:`qranks.series` builds, copies and
-adds: a step multiplies or divides them in place by binomials 1 + c*x^e*q^p
-(:func:`qranks.series._binomial`; uk's pair on S_j(b+1) is one product of
-two series) and adds, and only the final sum becomes a series.  A builder
-thus makes O(k*N) in-place operations of about O(N * terms) each, as the
-kernel skips zero coefficients, where a term-by-term sum makes one full
-product per factor of every term.  Each level keeps only the powers of q
-its outer indices leave room for, and S_j(b) is never formed once its
-least q-power exceeds them, so the truncated result is exact.
+adds: a step only reads S_j(b+1), adds it (times q^p, or for uk times a
+product of two series) into the head, and multiplies or divides the head in
+place by binomials 1 + c*x^e*q^p (:func:`qranks.series._binomial`); only the
+final sum becomes a series.  A builder thus makes O(k*N) in-place operations
+of about O(N * terms) each, as the kernel skips zero coefficients, where a
+term-by-term sum makes one full product per factor of every term.  Each level
+keeps only the powers of q its outer indices leave room for, and S_j(b) is
+never formed once its least q-power exceeds them, so the result is exact.
 
 The two self-conjugate forms share the evaluator and the series ring, so
 they are not independent of each other; both are checked against the
@@ -35,7 +35,7 @@ from __future__ import annotations
 from itertools import chain
 
 from . import combinat
-from .series import (FactorSpec, TruncatedSeries, _add, _apply_factor, _binomial, _shifted,
+from .series import (FactorSpec, TruncatedSeries, _add, _add_product, _binomial, _shifted,
                      _unit, _x, pochhammer)
 
 
@@ -55,8 +55,8 @@ def _nested_sum(k: int, n_max: int, var_count: int, gap: int, power, step) -> Tr
     S_j(b) is the sum over M_j >= b and the later indices, where
     M_(i+1) >= M_i + gap, and S_(k+1) = 1.  Partial sums are accumulators
     of :mod:`qranks.series`: ``step(j, b, head, rest)`` turns
-    head = q^power(j, b) * S_(j+1)(b + gap) into S_j(b) in place, given a
-    copy of S_j(b + 1) as rest ([], which is 0, at the first b of each level).
+    head = q^power(j, b) * S_(j+1)(b + gap) into S_j(b) in place and only
+    reads rest, S_j(b + 1) itself ([], which is 0, at the first b of a level).
 
     The outer indices M_i >= 1 + (i-1)*gap add room_j = sum_(i<j)
     power(i, 1 + (i-1)*gap) to every term of level j, which keeps
@@ -78,7 +78,7 @@ def _nested_sum(k: int, n_max: int, var_count: int, gap: int, power, step) -> Tr
             order, tail = inner.get(b + gap, (top + 1, None))  # not formed: 0 up to q^top
             if order + p <= top:
                 head = _shifted(tail, p, top)
-                step(j, b, head, _shifted(rest, 0, top))
+                step(j, b, head, rest)
                 rest, level[b] = head, (order + p, head)
         inner = level
     return TruncatedSeries._from_buckets(n_max, var_count, inner[1][1])  # S_1(1) to q^n_max
@@ -165,9 +165,8 @@ def marked_unimodal_rank_series(k: int, n_max: int) -> TruncatedSeries:
             _binomial(head, 1, _x(j, -1, k), b)
         if rest:  # bench/ traces this `*` and `pochhammer` (ROADMAP item 1)
             top = len(rest) - 1
-            _apply_factor(rest, pochhammer(FactorSpec(-1, j, 1, b), 1, top, k)
-                          * pochhammer(FactorSpec(-1, j, -1, b), 1, top, k), 1)
-        _add(head, rest)
+            _add_product(head, pochhammer(FactorSpec(-1, j, 1, b), 1, top, k)
+                         * pochhammer(FactorSpec(-1, j, -1, b), 1, top, k), rest)
 
     return _checked(_nested_sum(k, n_max, k, 1, lambda j, b: b, step))
 
@@ -200,8 +199,8 @@ def self_conjugate_series(k: int, n_max: int, form: str = "raw") -> TruncatedSer
         return b if j == k else 2 * b
 
     def raw_step(j, b, head, rest):
-        _binomial(rest, 1, (), 2 * b)
         _add(head, rest)
+        _add(head, rest, 1, 2 * b)
 
     def simplified_step(j, b, head, rest):
         if j < k:

@@ -12,11 +12,11 @@ is one call of :func:`_convolve`, the one loop over the powers of q, on a
 mutable accumulator (:data:`Buckets`): a list of exponent->int dicts
 indexed by the power of q.  Its one loop over the monomials is
 :func:`_shift_add`.  Only this module builds (:func:`_unit`), copies
-(:func:`_shifted`) and adds (:func:`_add`) accumulators.  :func:`_binomial`
-multiplies or divides one in place by 1 + c*x^e*q^p (x^e from :func:`_x`),
-as in :func:`pochhammer` and the nested sums of :mod:`qranks.genfun`;
-:func:`_apply_factor` does so by a series with constant term 1 (``/`` on
-a copy, and uk's steps by a product of two binomials).
+(:func:`_shifted`) and adds accumulators: :func:`_add` adds c*q^p times
+one, and :func:`_add_product` a series times one (``*``, and uk's steps by
+a product of two binomials).  :func:`_binomial` multiplies or divides one
+in place by 1 + c*x^e*q^p (x^e from :func:`_x`), as in :func:`pochhammer`
+and the nested sums of :mod:`qranks.genfun`.
 :meth:`TruncatedSeries._from_buckets` turns every constructor's accumulator
 into coefficients, one zero shared by all the empty ones.  A binomial step
 costs O(N * terms), as zero coefficients cost nothing; ``inverse()`` is 1 / s.
@@ -78,15 +78,6 @@ def _convolve(out: Buckets, left: list[tuple[int, dict[tuple[int, ...], int]]],
                 _shift_add(out[i + j], source, v, exps)
 
 
-def _apply_factor(acc: Buckets, factor: TruncatedSeries, c: int) -> None:
-    """Multiply (c = 1) or divide (c = -1) ``acc`` in place by ``factor``,
-    truncated at len(acc); factor's q^0 coefficient must be the integer 1."""
-    if not factor.coeffs[0].is_one():
-        raise ValueError("non-unit constant term")
-    _convolve(acc, [(j, b.terms) for j, b in enumerate(factor.coeffs[1: len(acc)], 1)
-                    if b.terms], acc, c)
-
-
 def _unit(top: int, var_count: int) -> Buckets:
     """A new accumulator of 1 at q^0..q^top."""
     return [{(0,) * var_count: 1}] + [{} for _ in range(top)]
@@ -97,9 +88,15 @@ def _shifted(acc: Buckets, p: int, top: int) -> Buckets:
     return [{} for _ in range(p)] + [dict(b) for b in acc[: top + 1 - p]]
 
 
-def _add(acc: Buckets, rest: Buckets, c: int = 1) -> None:
-    """Add c * rest into ``acc`` in place, truncated at len(acc), at any variable count."""
-    _convolve(acc, [(0, {(): c})], rest, 1)
+def _add(acc: Buckets, rest: Buckets, c: int = 1, p: int = 0) -> None:
+    """Add c * q^p * rest into ``acc`` in place, truncated at len(acc), at any var count."""
+    _convolve(acc, [(p, {(): c})], rest, 1)
+
+
+def _add_product(acc: Buckets, factor: TruncatedSeries, rest: Buckets) -> None:
+    """Add factor * rest into ``acc`` in place, truncated at len(acc); rest is not acc."""
+    _convolve(acc, [(j, a.terms) for j, a in enumerate(factor.coeffs[: len(acc)]) if a.terms],
+              rest, 1)
 
 
 def _x(j: int | None, e: int, var_count: int) -> tuple[int, ...]:
@@ -280,8 +277,7 @@ class TruncatedSeries:
         self._check_compatible(other)
         n_max = min(self.truncation_order, other.truncation_order)
         acc: Buckets = [{} for _ in range(n_max + 1)]
-        _convolve(acc, [(j, a.terms) for j, a in enumerate(self.coeffs[: n_max + 1]) if a.terms],
-                  [b.terms for b in other.coeffs], 1)
+        _add_product(acc, self, [b.terms for b in other.coeffs])
         return TruncatedSeries._from_buckets(n_max, self.var_count, acc)
 
     def __truediv__(self, other: TruncatedSeries) -> TruncatedSeries:
@@ -289,9 +285,12 @@ class TruncatedSeries:
         the powers of q; other's q^0 coefficient must be the integer 1 (no x
         terms), and then (self / other) * other == self."""
         self._check_compatible(other)
+        if not other.coeffs[0].is_one():
+            raise ValueError("non-unit constant term")
         n_max = min(self.truncation_order, other.truncation_order)
         acc: Buckets = [dict(a.terms) for a in self.coeffs[: n_max + 1]]
-        _apply_factor(acc, other, -1)
+        _convolve(acc, [(j, b.terms) for j, b in enumerate(other.coeffs[1: n_max + 1], 1)
+                        if b.terms], acc, -1)
         return TruncatedSeries._from_buckets(n_max, self.var_count, acc)
 
     def inverse(self) -> TruncatedSeries:

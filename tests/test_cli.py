@@ -4,6 +4,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from marking_oracle import self_conjugate_by_markings
@@ -494,6 +498,24 @@ def test_verify_and_specialize_golden(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_module_entry_point():
+    # `python -m qranks.cli` exits with main()'s code: 0 with the golden
+    # stdout, and 2 with the error on stderr for a refused call
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def module_run(argv):
+        return subprocess.run([sys.executable, "-m", "qranks.cli", *argv.split()], env=env,
+                              capture_output=True, timeout=120)
+
+    argv, digest = GOLDEN_OUTPUT[0]
+    ok = module_run(argv)
+    assert ok.returncode == 0, ok.stderr.decode()
+    assert hashlib.sha256(ok.stdout).hexdigest() == digest
+    refused = module_run("series --function rk --n-max 3")
+    assert refused.returncode == 2
+    assert refused.stderr.decode().startswith("error:")
 
 
 @pytest.mark.parametrize("module,name,argv", [

@@ -344,6 +344,16 @@ NESTED_CASES = (
 )
 
 
+STEP_BUILDS = [
+    pytest.param(lambda: genfun.marked_unimodal_rank_series(3, 14), id="uk"),
+    pytest.param(lambda: genfun.marked_durfee_rank_series(2, 14), id="rk"),
+    pytest.param(lambda: genfun.self_conjugate_series(3, 20, "raw"), id="scuk-raw"),
+    pytest.param(lambda: genfun.self_conjugate_series(3, 20, "simplified"),
+                 id="scuk-simplified"),
+    pytest.param(lambda: genfun.mock_theta_psi(30, "theta"), id="psi-theta"),
+]
+
+
 class TestAccumulatorSteps:
     def test_coefficient_dicts_keep_their_insertion_order(self):
         # demo 03 prints raw `.terms`, so the order of each dict is output
@@ -352,13 +362,25 @@ class TestAccumulatorSteps:
         assert hashlib.sha256(repr(dicts).encode()).hexdigest() == \
             "068350e4612ef8ca37ec842e54d93d2a49291bc70c54efadc1eabd219a3f5ae6"
 
-    @pytest.mark.parametrize("build", [
-        lambda: genfun.marked_unimodal_rank_series(3, 14),
-        lambda: genfun.marked_durfee_rank_series(2, 14),
-        lambda: genfun.self_conjugate_series(3, 20, "raw"),
-        lambda: genfun.self_conjugate_series(3, 20, "simplified"),
-        lambda: genfun.mock_theta_psi(30, "theta"),
-    ], ids=["uk", "rk", "scuk-raw", "scuk-simplified", "psi-theta"])
+    @pytest.mark.parametrize("build", STEP_BUILDS)
+    def test_steps_only_read_rest(self, monkeypatch, build):
+        # rest is S_j(b+1) as stored, which the next level reads too, so a
+        # step writes only its head
+        expected, nested_sum, written = build(), genfun._nested_sum, []
+
+        def watched(k, n_max, var_count, gap, power, step):
+            def watched_step(j, b, head, rest):
+                before = [dict(bucket) for bucket in rest]
+                step(j, b, head, rest)
+                if rest != before:
+                    written.append((j, b))
+            return nested_sum(k, n_max, var_count, gap, power, watched_step)
+
+        monkeypatch.setattr(genfun, "_nested_sum", watched)
+        assert build() == expected
+        assert written == []
+
+    @pytest.mark.parametrize("build", STEP_BUILDS)
     def test_steps_build_no_partial_sum_as_a_series(self, request, monkeypatch, build):
         # partial sums stay accumulators and each binomial goes to the kernel
         # as it is: no series sum, quotient or Pochhammer product, and no

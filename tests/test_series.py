@@ -633,12 +633,47 @@ def test_empty_accumulator_is_zero_in_place():
             series._binomial(acc, -1, (1, 0), p, sign)
             assert acc == []
     acc = []
-    series._apply_factor(acc, naive_binomial(1, (0, -1), 2, 5), 1)
     series._add(acc, [{(0, 0): 1}, {(1, 0): 2}])
+    series._add_product(acc, naive_binomial(1, (0, -1), 2, 5), [{(0, 0): 1}])
     assert acc == []
     acc = [{(0, 0): 1}, {(1, 0): 2}]
     series._add(acc, [], -1)
+    series._add(acc, [], 3, 1)
+    series._add_product(acc, naive_binomial(1, (0, -1), 1, 5), [])
     assert acc == [{(0, 0): 1}, {(1, 0): 2}]
+
+
+def padded(buckets, n, k):
+    """The accumulator ``buckets`` as a series mod q^(n+1): 0 past its end."""
+    return TruncatedSeries._from_buckets(n, k, (buckets + [{}] * n)[: n + 1])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_add_and_add_product_match_series(data):
+    """_add(acc, rest, c, p) is acc + c*q^p*rest and _add_product(acc, f, rest)
+    is acc + f*rest, both truncated at len(acc); rest and f may end before or
+    after acc, and rest is only read."""
+    k = data.draw(st.integers(0, 2))
+    n = data.draw(st.integers(0, 8))
+    s = data.draw(small_series(var_count=k, n_max=n))
+    r = data.draw(small_series(var_count=k))
+    f = data.draw(small_series(var_count=k))
+    c = data.draw(st.integers(-3, 3).filter(bool))  # the kernel adds nonzero multiples
+    p = data.draw(st.integers(0, n + 2))
+    rest = [dict(coeff.terms) for coeff in r.coeffs]
+    before = [list(b.items()) for b in rest]
+
+    acc = [dict(coeff.terms) for coeff in s.coeffs]
+    series._add(acc, rest, c, p)
+    assert TruncatedSeries._from_buckets(n, k, acc) == \
+        s + TruncatedSeries.monomial(c, (0,) * k, p, n + 2) * padded(rest, n, k)
+
+    acc = [dict(coeff.terms) for coeff in s.coeffs]
+    series._add_product(acc, f, rest)
+    assert TruncatedSeries._from_buckets(n, k, acc) == \
+        s + padded([dict(coeff.terms) for coeff in f.coeffs], n, k) * padded(rest, n, k)
+    assert [list(b.items()) for b in rest] == before
 
 
 @given(st.data())
