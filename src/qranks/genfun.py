@@ -7,11 +7,13 @@ unimodal families).  No builder forms its terms one by one: one evaluator,
 for nested sums).  S_j(b), the sum over M_j >= b and every later index,
 follows from S_j(b+1) and from S_(j+1) at M_j = b by one step.  Partial
 sums stay accumulators, which only :mod:`qranks.series` builds, copies and
-adds: a step only reads S_j(b+1), adds it (times q^p, or for uk times a
-product of two series) into the head, and multiplies or divides the head in
-place by binomials 1 + c*x^e*q^p (:func:`qranks.series._binomial`); only the
-final sum becomes a series.  A builder thus makes O(k*N) in-place operations
-of about O(N * terms) each, as the kernel skips zero coefficients, where a
+adds: a step only reads S_j(b+1), adds it (times q^p, or for uk times
+(1 + x_j q^b)(1 + x_j^-1 q^b), two one-binomial series built up to q^(2b),
+where their product ends) into the head, and multiplies or divides the head
+in place by binomials 1 + c*x^e*q^p (:func:`qranks.series._binomial`); no
+step reads an accumulator's length, and only the final sum becomes a
+series.  A builder thus makes O(k*N) in-place operations of about
+O(N * terms) each, as the kernel skips zero coefficients, where a
 term-by-term sum makes one full product per factor of every term.  Each level
 keeps only the powers of q its outer indices leave room for, and S_j(b) is
 never formed once its least q-power exceeds them, so the result is exact.
@@ -164,9 +166,8 @@ def marked_unimodal_rank_series(k: int, n_max: int) -> TruncatedSeries:
         if j < k:
             _binomial(head, 1, _x(j, -1, k), b)
         if rest:  # bench/ traces this `*` and `pochhammer` (ROADMAP item 1)
-            top = len(rest) - 1
-            _add_product(head, pochhammer(FactorSpec(-1, j, 1, b), 1, top, k)
-                         * pochhammer(FactorSpec(-1, j, -1, b), 1, top, k), rest)
+            _add_product(head, pochhammer(FactorSpec(-1, j, 1, b), 1, 2 * b, k)
+                         * pochhammer(FactorSpec(-1, j, -1, b), 1, 2 * b, k), rest)
 
     return _checked(_nested_sum(k, n_max, k, 1, lambda j, b: b, step))
 

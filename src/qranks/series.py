@@ -47,7 +47,7 @@ def _shift_add(target: dict[tuple[int, ...], int], source: dict[tuple[int, ...],
         if total:
             target[key] = total
         else:
-            del target[key]
+            target.pop(key, None)
 
 
 # an accumulator: one exponent->int dict per power of q, truncated at its length
@@ -375,8 +375,10 @@ def pochhammer(spec: FactorSpec, count: int | None, n_max: int,
     """Product of (1 - a*q^(s*(j-1))) for j = 1..count, truncated at n_max.
 
     Here a = spec.sign * x_i^spec.var_exponent * q^spec.q_offset and
-    s = spec.q_step.  ``count=None`` means the infinite product, which is
-    evaluated until the remaining factors are 1 modulo q^(n_max+1).
+    s = spec.q_step.  The factors are one range of in-place :func:`_binomial`
+    steps at q^(q_offset + s*(j-1)), cut at ``count`` factors and at q^n_max,
+    since the later ones are 1 modulo q^(n_max+1); ``count=None`` means the
+    infinite product.
     """
     if spec.var_index is not None and spec.var_index > var_count:
         raise ValueError(
@@ -389,11 +391,6 @@ def pochhammer(spec: FactorSpec, count: int | None, n_max: int,
 
     exponents = _x(spec.var_index, spec.var_exponent, var_count)
     acc = _unit(n_max, var_count)
-    q_power = spec.q_offset
-    j = 0
-    # factors beyond q^n_max are 1 modulo q^(n_max+1)
-    while q_power <= n_max and (count is None or j < count):
+    for q_power in range(spec.q_offset, n_max + 1, spec.q_step)[:count]:
         _binomial(acc, -spec.sign, exponents, q_power)
-        q_power += spec.q_step
-        j += 1
     return TruncatedSeries._from_buckets(n_max, var_count, acc)

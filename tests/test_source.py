@@ -106,7 +106,8 @@ def test_one_loop_over_the_powers_of_q():
 
 def test_nested_sum_steps_name_no_series():
     """The Horner steps that `genfun._nested_sum` calls work on accumulators
-    in place: no step body names `TruncatedSeries`."""
+    in place and read no accumulator layout: no step body names
+    `TruncatedSeries`, calls `len` or subscripts anything."""
     path = next(p for p in SOURCES if p.name == "genfun.py")
     tree = ast.parse(path.read_text(), filename=str(path))
     steps = [node for func in tree.body if isinstance(func, ast.FunctionDef)
@@ -115,6 +116,10 @@ def test_nested_sum_steps_name_no_series():
     found = {step.name: step.lineno for step in steps for node in ast.walk(step)
              if isinstance(node, ast.Name) and node.id == "TruncatedSeries"}
     assert len(steps) == 5 and not found, (len(steps), found)
+    layout = {(step.name, node.lineno) for step in steps for node in ast.walk(step)
+              if isinstance(node, ast.Subscript)
+              or isinstance(node, ast.Name) and node.id == "len"}
+    assert not layout, sorted(layout)
 
 
 def test_genfun_leaves_the_accumulator_layout_to_series():
