@@ -13,44 +13,14 @@ The package has four layers:
                        with recorded error bounds).
 
 ``qranks.cli`` exposes the same functionality as the ``qranks`` command.
+
+``import qranks`` loads ``series``, ``genfun`` and ``specialize``; the
+census side, ``combinat``, loads when one of its names is first looked up
+here (or when ``qranks.cli`` or a census-reading builder imports it), so a
+program that only builds and evaluates series never loads it.  Nothing is
+cached here: each lookup of a ``combinat`` name reads the module again.
 """
 
-from .combinat import (
-    DurfeeSymbol,
-    KMarkedDurfeeSymbol,
-    KMarkedSUSymbol,
-    MarkedPart,
-    Partition,
-    SUSequence,
-    SUSymbol,
-    count_complete_odd_partitions,
-    count_even_part_parity,
-    count_self_conjugate,
-    durfee_decompose,
-    durfee_ranks,
-    durfee_recompose,
-    dyson_rank,
-    enumerate_complete_odd_partitions,
-    enumerate_marked_durfee,
-    enumerate_marked_unimodal,
-    enumerate_partitions,
-    enumerate_self_conjugate_symbols,
-    enumerate_su_sequences,
-    even_part_parity_counts,
-    marked_durfee_censuses,
-    marked_unimodal_censuses,
-    marked_unimodal_counts,
-    odd_parts_to_self_conjugate,
-    rank_census_marked_durfee,
-    rank_census_marked_unimodal,
-    rank_census_partitions,
-    rank_census_unimodal,
-    self_conjugate_to_odd_parts,
-    su_rank,
-    su_sequence,
-    su_symbol,
-    unimodal_ranks,
-)
 from .genfun import (
     even_part_parity_series,
     marked_durfee_rank_series,
@@ -72,7 +42,57 @@ from .specialize import (
 
 __version__ = "0.1.0"
 
-# every public class and function imported above, and nothing else
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_")
-                 and getattr(value, "__module__", "").startswith("qranks."))
+# the public names of qranks.combinat, resolved by __getattr__ on first use
+_COMBINAT = (
+    "DurfeeSymbol",
+    "KMarkedDurfeeSymbol",
+    "KMarkedSUSymbol",
+    "MarkedPart",
+    "Partition",
+    "SUSequence",
+    "SUSymbol",
+    "count_complete_odd_partitions",
+    "count_even_part_parity",
+    "count_self_conjugate",
+    "durfee_decompose",
+    "durfee_ranks",
+    "durfee_recompose",
+    "dyson_rank",
+    "enumerate_complete_odd_partitions",
+    "enumerate_marked_durfee",
+    "enumerate_marked_unimodal",
+    "enumerate_partitions",
+    "enumerate_self_conjugate_symbols",
+    "enumerate_su_sequences",
+    "even_part_parity_counts",
+    "marked_durfee_censuses",
+    "marked_unimodal_censuses",
+    "marked_unimodal_counts",
+    "odd_parts_to_self_conjugate",
+    "rank_census_marked_durfee",
+    "rank_census_marked_unimodal",
+    "rank_census_partitions",
+    "rank_census_unimodal",
+    "self_conjugate_to_odd_parts",
+    "su_rank",
+    "su_sequence",
+    "su_symbol",
+    "unimodal_ranks",
+)
+
+
+def __getattr__(name):
+    if name in _COMBINAT:
+        from . import combinat
+        return getattr(combinat, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_COMBINAT))
+
+
+# every public class and function imported above or named in _COMBINAT, and nothing else
+__all__ = sorted(_COMBINAT + tuple(
+    name for name, value in globals().items()
+    if not name.startswith("_") and getattr(value, "__module__", "").startswith("qranks.")))

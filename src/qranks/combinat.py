@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator, NamedTuple
+
+from ._record import Record
 
 RankVector = tuple[int, ...]
 
@@ -55,21 +56,21 @@ def _integers(*values) -> tuple[int, ...]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Weakly decreasing positive parts; the empty tuple is the partition of 0."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", _integers(*self.parts))
+    def __init__(self, parts: tuple[int, ...] = ()):
+        parts = _integers(*parts)
         prev = None
-        for p in self.parts:
+        for p in parts:
             if p < 1:
                 raise ValueError(f"nonpositive part {p}")
             if prev is not None and p > prev:
-                raise ValueError(f"parts not weakly decreasing: {self.parts}")
+                raise ValueError(f"parts not weakly decreasing: {parts}")
             prev = p
+        object.__setattr__(self, "parts", parts)
 
     @property
     def size(self) -> int:
@@ -121,23 +122,23 @@ def rank_census_partitions(n: int) -> dict[int, int]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DurfeeSymbol:
+class DurfeeSymbol(Record):
     """Column lengths right of the Durfee square (top) and row lengths below
     it (bottom), subscripted by the square's side."""
 
-    top: Partition
-    bottom: Partition
-    side: int
+    __slots__ = ("top", "bottom", "side")
 
-    def __post_init__(self):
-        object.__setattr__(self, "side", *_integers(self.side))
-        if self.side < 1:
+    def __init__(self, top: Partition, bottom: Partition, side: int):
+        side, = _integers(side)
+        if side < 1:
             raise ValueError("side must be >= 1")
-        for row in (self.top, self.bottom):
+        for row in (top, bottom):
             for v in row.parts:
-                if v > self.side:
-                    raise ValueError(f"part {v} exceeds side {self.side}")
+                if v > side:
+                    raise ValueError(f"part {v} exceeds side {side}")
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "side", side)
 
     @property
     def size(self) -> int:
@@ -181,16 +182,14 @@ def _recomposed(top, bottom, side: int) -> tuple[int, ...]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SUSequence:
+class SUSequence(Record):
     """Positive parts strictly increasing to a unique maximum, then strictly
     decreasing."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", _integers(*self.parts))
-        parts = self.parts
+    def __init__(self, parts: tuple[int, ...]):
+        parts = _integers(*parts)
         if not parts:
             raise ValueError("sequence must be nonempty")
         if any(v < 1 for v in parts):
@@ -202,6 +201,7 @@ class SUSequence:
         for i in range(peak, len(parts) - 1):
             if parts[i] <= parts[i + 1]:
                 raise ValueError(f"not strictly decreasing after the peak: {parts}")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def peak_index(self) -> int:
@@ -215,29 +215,29 @@ class SUSequence:
         return ",".join(str(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
-class SUSymbol:
+class SUSymbol(Record):
     """Parts right of the peak (top) and left of it (bottom), under the peak.
 
     Rows are strictly decreasing and every row part is smaller than the peak.
     """
 
-    top: Partition
-    bottom: Partition
-    peak: int
+    __slots__ = ("top", "bottom", "peak")
 
-    def __post_init__(self):
-        object.__setattr__(self, "peak", *_integers(self.peak))
-        if self.peak < 1:
+    def __init__(self, top: Partition, bottom: Partition, peak: int):
+        peak, = _integers(peak)
+        if peak < 1:
             raise ValueError("peak must be >= 1")
-        for row in (self.top, self.bottom):
+        for row in (top, bottom):
             prev = None
             for v in row.parts:
-                if v >= self.peak:
-                    raise ValueError(f"row part {v} not below peak {self.peak}")
+                if v >= peak:
+                    raise ValueError(f"row part {v} not below peak {peak}")
                 if prev is not None and v >= prev:
                     raise ValueError(f"row not strictly decreasing: {row.parts}")
                 prev = v
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "peak", peak)
 
     @property
     def size(self) -> int:
@@ -363,28 +363,29 @@ def _marked_violation(top, bottom, last: int, k: int, strict: bool) -> str | Non
     return None
 
 
-class _MarkedSymbol:
+class _MarkedSymbol(Record):
     """The construction both marked symbol classes share: the rows are put
     in canonical order, ``last`` (the side or the peak) and k are read as
     integers, and :func:`_marked_violation` refuses what is not a symbol.
-    Each class names its ``_last`` field, its ``_strict`` flag and its noun."""
+    Each class names its fields (top, bottom, its ``_last`` field, k), its
+    ``_strict`` flag and its noun."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "top", _canonical_row(self.top))
-        object.__setattr__(self, "bottom", _canonical_row(self.bottom))
-        last, k = _integers(getattr(self, self._last), self.k)
-        object.__setattr__(self, self._last, last)
-        object.__setattr__(self, "k", k)
-        reason = _marked_violation(self.top, self.bottom, last, k, strict=self._strict)
+    __slots__ = ()
+
+    def _build(self, top, bottom, last: int, k: int) -> None:
+        top, bottom = _canonical_row(top), _canonical_row(bottom)
+        last, k = _integers(last, k)
+        reason = _marked_violation(top, bottom, last, k, strict=self._strict)
         if reason:
             raise ValueError(f"invalid {k}-marked {self._noun} symbol: {reason}")
+        for name, value in zip(self.__slots__, (top, bottom, last, k)):
+            object.__setattr__(self, name, value)
 
     def render(self) -> str:
         return (f"({_render_marked_row(self.top)} ; "
                 f"{_render_marked_row(self.bottom)})_{getattr(self, self._last)}")
 
 
-@dataclass(frozen=True)
 class KMarkedDurfeeSymbol(_MarkedSymbol):
     """Durfee symbol whose parts carry marks 1..k.
 
@@ -395,18 +396,17 @@ class KMarkedDurfeeSymbol(_MarkedSymbol):
     [M_(k-1), side].
     """
 
-    top: tuple[MarkedPart, ...]
-    bottom: tuple[MarkedPart, ...]
-    side: int
-    k: int
+    __slots__ = ("top", "bottom", "side", "k")
     _last, _strict, _noun = "side", False, "Durfee"
+
+    def __init__(self, top, bottom, side: int, k: int):
+        self._build(top, bottom, side, k)
 
     @property
     def size(self) -> int:
         return self.side * self.side + sum(p.value for p in self.top + self.bottom)
 
 
-@dataclass(frozen=True)
 class KMarkedSUSymbol(_MarkedSymbol):
     """Strongly unimodal symbol whose parts carry marks 1..k.
 
@@ -418,11 +418,11 @@ class KMarkedSUSymbol(_MarkedSymbol):
     consequence of the ordering rules.
     """
 
-    top: tuple[MarkedPart, ...]
-    bottom: tuple[MarkedPart, ...]
-    peak: int
-    k: int
+    __slots__ = ("top", "bottom", "peak", "k")
     _last, _strict, _noun = "peak", True, "unimodal"
+
+    def __init__(self, top, bottom, peak: int, k: int):
+        self._build(top, bottom, peak, k)
 
     @property
     def size(self) -> int:

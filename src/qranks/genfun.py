@@ -29,14 +29,16 @@ Coefficients of the multivariate series are Laurent polynomials in
 x_1..x_k; the integer attached to x^(m_1,..,m_k) q^n counts symbols of size
 n whose j-th rank is m_j.  That equivalence is what the test suite checks
 against the enumerations in :mod:`qranks.combinat`; it is never assumed
-here.
+here.  The two builders that read a census table,
+:func:`mock_theta_psi` (``form="enumerative"``) and
+:func:`even_part_parity_series`, import :mod:`qranks.combinat` when they
+run, so importing this module does not load the census side.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 
-from . import combinat
 from .series import (FactorSpec, TruncatedSeries, _add, _add_product, _binomial, _shifted,
                      _unit, _x, pochhammer)
 
@@ -236,6 +238,7 @@ def mock_theta_psi(n_max: int, form: str = "theta") -> TruncatedSeries:
     if form == "pochhammer":
         return self_conjugate_series(1, n_max, "raw")
     if form == "enumerative":
+        from . import combinat
         return TruncatedSeries.from_integer_coefficients(
             combinat.marked_unimodal_counts(n_max, 1, symmetric=True)[0])
     raise ValueError(f"unknown form {form!r}")
@@ -251,5 +254,6 @@ def even_part_parity_series(k: int, n_max: int) -> TruncatedSeries:
     if k < 2:
         raise ValueError("defined for k >= 2 only")
     sign = (-1) ** k
+    from . import combinat
     return TruncatedSeries.from_integer_coefficients(
         [sign * (odd - even) for odd, even in combinat.even_part_parity_counts(n_max, k)])

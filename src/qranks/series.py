@@ -27,8 +27,9 @@ series may be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
+
+from ._record import Record
 
 
 def _shift_add(target: dict[tuple[int, ...], int], source: dict[tuple[int, ...], int],
@@ -110,7 +111,7 @@ def _binomial(acc: Buckets, c: int, exps: tuple[int, ...], p: int, sign: int = 1
     _convolve(acc, [(p, {exps: c})], acc if p else [dict(b) for b in acc], sign)
 
 
-class LaurentCoefficient:
+class LaurentCoefficient(Record):
     """Sparse integer polynomial in x_1^(+-1) .. x_k^(+-1), as a value.
 
     ``terms`` maps an exponent tuple of length ``var_count`` to a nonzero
@@ -136,9 +137,6 @@ class LaurentCoefficient:
                       if 0 in terms.values() else dict(terms))
         object.__setattr__(self, "var_count", var_count)
         object.__setattr__(self, "terms", pruned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentCoefficient is immutable")
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -178,7 +176,7 @@ class LaurentCoefficient:
         return " + ".join(parts)
 
 
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Power series in q, exact modulo q^(N+1), with Laurent coefficients.
 
     ``coeffs[n]`` is the coefficient of q^n.  Mixed-truncation arithmetic
@@ -205,9 +203,6 @@ class TruncatedSeries:
         object.__setattr__(self, "truncation_order", truncation_order)
         object.__setattr__(self, "var_count", var_count)
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
 
     # ------------------------------------------------------------------
     # constructors
@@ -316,18 +311,6 @@ class TruncatedSeries:
             raise ValueError("series has x variables; extract coefficients per exponent")
         return [c.terms.get((), 0) for c in self.coeffs]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.truncation_order == other.truncation_order
-            and self.var_count == other.var_count
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.truncation_order, self.var_count, self.coeffs))
-
     def __repr__(self) -> str:
         shown = []
         for n, c in enumerate(self.coeffs):
@@ -340,8 +323,7 @@ class TruncatedSeries:
         return f"<series mod q^{self.truncation_order + 1}: {body}>"
 
 
-@dataclass(frozen=True)
-class FactorSpec:
+class FactorSpec(Record):
     """Argument of a Pochhammer-style product with base q^q_step.
 
     Describes a = sign * x_i^var_exponent * q^q_offset so that the product
@@ -350,24 +332,23 @@ class FactorSpec:
     var_index is 1-based.
     """
 
-    sign: int
-    var_index: int | None = None
-    var_exponent: int = 1
-    q_offset: int = 0
-    q_step: int = 1
+    __slots__ = ("sign", "var_index", "var_exponent", "q_offset", "q_step")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, var_index: int | None = None, var_exponent: int = 1,
+                 q_offset: int = 0, q_step: int = 1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.var_index is not None:
-            if self.var_index < 1:
+        if var_index is not None:
+            if var_index < 1:
                 raise ValueError("var_index is 1-based")
-            if self.var_exponent not in (1, -1):
+            if var_exponent not in (1, -1):
                 raise ValueError("var_exponent must be +1 or -1")
-        if self.q_offset < 0:
+        if q_offset < 0:
             raise ValueError("q_offset must be >= 0")
-        if self.q_step < 1:
+        if q_step < 1:
             raise ValueError("q_step must be >= 1")
+        for name, value in zip(self.__slots__, (sign, var_index, var_exponent, q_offset, q_step)):
+            object.__setattr__(self, name, value)
 
 
 def pochhammer(spec: FactorSpec, count: int | None, n_max: int,

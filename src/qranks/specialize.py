@@ -18,12 +18,12 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 from operator import add, mod, mul
 
+from ._record import Record
 from .series import TruncatedSeries
 
 _EPS = sys.float_info.epsilon
@@ -32,15 +32,14 @@ _EPS = sys.float_info.epsilon
 _GAUSSIAN_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-@dataclass(frozen=True)
-class RootOfUnityVector:
+class RootOfUnityVector(Record):
     """One rational angle a/b per variable; entry j is the value
     e^(2*pi*i*a/b).  Angles are stored in lowest terms with 0 <= a/b < 1."""
 
-    entries: tuple[Fraction, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple(Fraction(e) for e in self.entries)
+    def __init__(self, entries: tuple[Fraction, ...]):
+        entries = tuple(Fraction(e) for e in entries)
         for f in entries:
             if not 0 <= f < 1:
                 raise ValueError(f"angle {f} outside [0, 1)")
@@ -55,34 +54,35 @@ class RootOfUnityVector:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class GaussianSeries:
+class GaussianSeries(Record):
     """Exact evaluation result: one Gaussian integer (re, im) per q-order."""
 
-    truncation_order: int
-    coeffs: tuple[tuple[int, int], ...]
+    __slots__ = ("truncation_order", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.truncation_order + 1:
+    def __init__(self, truncation_order: int, coeffs: tuple[tuple[int, int], ...]):
+        if len(coeffs) != truncation_order + 1:
             raise ValueError("coefficient count does not match truncation order")
+        object.__setattr__(self, "truncation_order", truncation_order)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def real_coefficients(self) -> list[int]:
         return [re for re, _ in self.coeffs]
 
 
-@dataclass(frozen=True)
-class ComplexSeries:
+class ComplexSeries(Record):
     """Double-precision evaluation result with per-coefficient error bounds."""
 
-    truncation_order: int
-    coeffs: tuple[complex, ...]
-    error_bounds: tuple[float, ...]
+    __slots__ = ("truncation_order", "coeffs", "error_bounds")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.truncation_order + 1:
+    def __init__(self, truncation_order: int, coeffs: tuple[complex, ...],
+                 error_bounds: tuple[float, ...]):
+        if len(coeffs) != truncation_order + 1:
             raise ValueError("coefficient count does not match truncation order")
-        if len(self.error_bounds) != self.truncation_order + 1:
+        if len(error_bounds) != truncation_order + 1:
             raise ValueError("error bound count does not match truncation order")
+        object.__setattr__(self, "truncation_order", truncation_order)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "error_bounds", error_bounds)
 
 
 def _check_arity(s: TruncatedSeries, v: RootOfUnityVector) -> None:

@@ -137,6 +137,37 @@ ERRORS = [
     pytest.param(lambda: KMarkedSUSymbol((), (), 0, 1), ValueError,
                  "invalid 1-marked unimodal symbol: peak must be >= 1",
                  id="marked-peak-below-one"),
+    pytest.param(lambda: Partition((0,)), ValueError, "nonpositive part 0",
+                 id="Partition-nonpositive"),
+    pytest.param(lambda: Partition((1, 2)), ValueError, "parts not weakly decreasing: (1, 2)",
+                 id="Partition-increasing"),
+    pytest.param(lambda: SUSequence(()), ValueError, "sequence must be nonempty",
+                 id="SUSequence-empty"),
+    pytest.param(lambda: SUSequence((1, 3, 3)), ValueError,
+                 "not strictly decreasing after the peak: (1, 3, 3)",
+                 id="SUSequence-right-of-peak"),
+    pytest.param(lambda: SUSymbol(Partition((3,)), Partition(), 3), ValueError,
+                 "row part 3 not below peak 3", id="SUSymbol-part-at-peak"),
+    pytest.param(lambda: KMarkedDurfeeSymbol(((1, 3),), (), 2, 2), ValueError,
+                 "invalid 2-marked Durfee symbol: mark 3 outside 1..2", id="marked-mark-range"),
+    pytest.param(lambda: KMarkedDurfeeSymbol(((2, 1), (1, 2)), (), 2, 2), ValueError,
+                 "invalid 2-marked Durfee symbol: row marks not nonincreasing at "
+                 "MarkedPart(value=1, mark=2)", id="marked-mark-order"),
+    pytest.param(lambda: KMarkedDurfeeSymbol(((3, 1),), (), 2, 1), ValueError,
+                 "invalid 1-marked Durfee symbol: part MarkedPart(value=3, mark=1) "
+                 "exceeds side 2", id="marked-beyond-side"),
+    pytest.param(lambda: KMarkedSUSymbol(((3, 1),), (), 3, 1), ValueError,
+                 "invalid 1-marked unimodal symbol: part MarkedPart(value=3, mark=1) "
+                 "not below peak 3", id="marked-at-peak"),
+    pytest.param(lambda: KMarkedDurfeeSymbol(((1, 2),), (), 2, 2), ValueError,
+                 "invalid 2-marked Durfee symbol: mark 1 missing from the top row",
+                 id="marked-missing-mark"),
+    pytest.param(lambda: KMarkedDurfeeSymbol(((1, 1),), ((2, 1),), 2, 2), ValueError,
+                 "invalid 2-marked Durfee symbol: bottom part MarkedPart(value=2, mark=1) "
+                 "outside [1, 1]", id="marked-bottom-interval"),
+    pytest.param(lambda: KMarkedDurfeeSymbol((), (), 0, 1), ValueError,
+                 "invalid 1-marked Durfee symbol: side must be >= 1",
+                 id="marked-side-below-one"),
     pytest.param(lambda: list(enumerate_partitions(-1)), ValueError,
                  "n must be >= 0", id="enumerate_partitions"),
     pytest.param(lambda: rank_census_partitions(0), ValueError,

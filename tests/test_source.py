@@ -1,11 +1,18 @@
 """Checks on the package source itself."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "qranks").glob("*.py"))
+import qranks
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "qranks").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -132,6 +139,64 @@ def test_genfun_leaves_the_accumulator_layout_to_series():
     names |= {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
     found = names & {"_convolve", "Buckets"}
     assert not found, sorted(found)
+
+
+def _imports(path):
+    """Every module name that ``path`` imports, by any form of import."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    """The value records are plain `__slots__` classes on `_record.Record`:
+    `dataclasses`, and the `inspect` it loads, cost more to import than the
+    records cost to write."""
+    found = {name for name in _imports(path) if name.split(".")[0] == "dataclasses"}
+    assert not found, f"{path.name}: {sorted(found)}"
+
+
+def _modules_added_by(statement: str) -> set[str]:
+    """The modules a fresh interpreter loads while it runs ``statement``."""
+    code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
+            f"{statement}\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout))
+
+
+def test_import_qranks_leaves_the_census_side_unloaded():
+    added = _modules_added_by("import qranks")
+    assert "qranks.genfun" in added and "qranks.specialize" in added
+    assert not added & {"qranks.combinat", "qranks.cli", "dataclasses", "inspect"}, added
+
+
+def test_import_cli_loads_neither_dataclasses_nor_inspect():
+    added = _modules_added_by("import qranks.cli")
+    assert "qranks.combinat" in added
+    assert not added & {"dataclasses", "inspect"}, added
+
+
+def test_every_public_name_resolves():
+    from qranks import combinat
+    assert len(qranks.__all__) == 51 and qranks.__all__ == sorted(set(qranks.__all__))
+    assert all(getattr(qranks, name) is not None for name in qranks.__all__)
+    assert qranks.Partition is combinat.Partition
+    assert set(qranks.__all__) <= set(dir(qranks))
+    namespace = {}
+    exec("from qranks import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == qranks.__all__
+    with pytest.raises(AttributeError, match="has no attribute 'combinatorics'"):
+        qranks.combinatorics
 
 
 def test_sources_found():

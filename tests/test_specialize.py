@@ -144,8 +144,12 @@ class TestRootOfUnityVector:
             RootOfUnityVector((Fraction(-1, 4),))
 
 
-# the length checks of the result types, with their exact messages
+# the angle range and the length checks of the result types, with their exact messages
 ERRORS = [
+    pytest.param(lambda: RootOfUnityVector((Fraction(5, 4),)), "angle 5/4 outside [0, 1)",
+                 id="RootOfUnityVector-above"),
+    pytest.param(lambda: RootOfUnityVector((-Fraction(1, 4),)), "angle -1/4 outside [0, 1)",
+                 id="RootOfUnityVector-below"),
     pytest.param(lambda: GaussianSeries(1, ((0, 0),)),
                  "coefficient count does not match truncation order", id="GaussianSeries"),
     pytest.param(lambda: ComplexSeries(1, (0j,), (0.0, 0.0)),
