@@ -5,8 +5,10 @@ The package has four layers:
 ``qranks.series``      truncated power series in q over integer Laurent
                        polynomials, with Pochhammer-product builders;
 ``qranks.combinat``    partitions, strongly unimodal sequences, their
-                       two-row symbols, marked versions, rank statistics,
-                       and bijections;
+                       two-row symbols, rank statistics, the marked-symbol
+                       censuses and counts, and bijections, with
+                       ``qranks.marked`` (the k-marked symbols, their rank
+                       vectors and their listings);
 ``qranks.genfun``      every rank generating function as an exact series;
 ``qranks.specialize``  evaluation at vectors of roots of unity (exact over
                        the Gaussian integers for fourth roots, else float
@@ -14,11 +16,14 @@ The package has four layers:
 
 ``qranks.cli`` exposes the same functionality as the ``qranks`` command.
 
-``import qranks`` loads ``series``, ``genfun`` and ``specialize``; the
-census side, ``combinat``, loads when one of its names is first looked up
-here (or when ``qranks.cli`` or a census-reading builder imports it), so a
-program that only builds and evaluates series never loads it.  Nothing is
-cached here: each lookup of a ``combinat`` name reads the module again.
+``import qranks`` loads ``series`` and ``genfun``.  The census side,
+``combinat``, loads when one of its names is first looked up here (or when
+``qranks.cli`` or a census-reading builder imports it), so a program that
+only builds series never loads it; ``combinat`` in turn loads ``marked``
+when one of the marked names is first looked up.  ``specialize`` loads
+when one of its names is first looked up here (or when ``qranks.cli``
+evaluates a series at roots of unity).  Nothing is cached here: each
+lookup of a ``combinat`` or ``specialize`` name reads the module again.
 """
 
 from .genfun import (
@@ -32,17 +37,11 @@ from .genfun import (
     unimodal_rank_series,
 )
 from .series import FactorSpec, LaurentCoefficient, TruncatedSeries, pochhammer
-from .specialize import (
-    ComplexSeries,
-    GaussianSeries,
-    RootOfUnityVector,
-    specialize_exact,
-    specialize_numeric,
-)
 
 __version__ = "0.1.0"
 
-# the public names of qranks.combinat, resolved by __getattr__ on first use
+# the public names of qranks.combinat and qranks.specialize, resolved by
+# __getattr__ on first use
 _COMBINAT = (
     "DurfeeSymbol",
     "KMarkedDurfeeSymbol",
@@ -79,20 +78,26 @@ _COMBINAT = (
     "su_symbol",
     "unimodal_ranks",
 )
+_SPECIALIZE = ("ComplexSeries", "GaussianSeries", "RootOfUnityVector", "specialize_exact",
+               "specialize_numeric")
 
 
 def __getattr__(name):
     if name in _COMBINAT:
-        from . import combinat
-        return getattr(combinat, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from . import combinat as module
+    elif name in _SPECIALIZE:
+        from . import specialize as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_COMBINAT))
+    return sorted(set(globals()) | set(_COMBINAT) | set(_SPECIALIZE))
 
 
-# every public class and function imported above or named in _COMBINAT, and nothing else
-__all__ = sorted(_COMBINAT + tuple(
+# every public class and function imported above or named in _COMBINAT or
+# _SPECIALIZE, and nothing else
+__all__ = sorted(_COMBINAT + _SPECIALIZE + tuple(
     name for name, value in globals().items()
     if not name.startswith("_") and getattr(value, "__module__", "").startswith("qranks.")))

@@ -33,7 +33,6 @@ import sys
 
 from . import combinat, genfun
 from .series import TruncatedSeries
-from .specialize import RootOfUnityVector, specialize_exact, specialize_numeric
 
 _SERIES_SCHEMA = "qranks.series/1"
 _SPECIALIZE_SCHEMA = "qranks.specialize/1"
@@ -134,6 +133,9 @@ def cmd_series(args, out) -> int:
         _write_records(out, args.format, _SERIES_SCHEMA, ("n", "exponents", "value"),
                        records)
         return 0
+    # loaded here only: no other command evaluates at roots of unity
+    from .specialize import RootOfUnityVector, specialize_exact, specialize_numeric
+
     specs = [a.strip() for a in args.specialize.split(",") if a.strip()]
     if s.var_count == 0:
         raise UsageError(f"--function {args.function} has no x variables")
@@ -186,6 +188,15 @@ def _durfee_bounds(n_max: int, k_max: int) -> list[list[int]]:
     return bounds
 
 
+def _durfee_column(n_max: int, k: int) -> list[int]:
+    """Row k of :func:`_durfee_bounds` alone, in closed form; every k past
+    n_max + 1 gives that row, all 0."""
+    k = min(k, n_max + 1)
+    partitions = _partition_count_list(n_max)
+    return [0] * k + [partitions[n] * math.comb(n + k - 1, k - 1) ** 2
+                      for n in range(k, n_max + 1)]
+
+
 # ----------------------------------------------------------------------
 # enumerate
 # ----------------------------------------------------------------------
@@ -206,7 +217,7 @@ _OBJECTS = {
     "kdurfee": (
         lambda n, k: ((list(combinat.durfee_ranks(sym)), sym.render())
                       for sym in combinat.enumerate_marked_durfee(n, k)),
-        lambda n_max, k: _durfee_bounds(n_max, k)[-1], True, 1, "this object"),
+        _durfee_column, True, 1, "this object"),
     "ksu": (
         lambda n, k: ((list(combinat.unimodal_ranks(sym)), sym.render())
                       for sym in combinat.enumerate_marked_unimodal(n, k)),

@@ -500,22 +500,36 @@ def test_verify_and_specialize_golden(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _module_run(argv):
+    """`python -m qranks.cli ARGV...` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "qranks.cli", *argv.split()], env=env,
+                          capture_output=True, timeout=120)
+
+
 def test_module_entry_point():
     # `python -m qranks.cli` exits with main()'s code: 0 with the golden
     # stdout, and 2 with the error on stderr for a refused call
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-
-    def module_run(argv):
-        return subprocess.run([sys.executable, "-m", "qranks.cli", *argv.split()], env=env,
-                              capture_output=True, timeout=120)
-
     argv, digest = GOLDEN_OUTPUT[0]
-    ok = module_run(argv)
+    ok = _module_run(argv)
     assert ok.returncode == 0, ok.stderr.decode()
     assert hashlib.sha256(ok.stdout).hexdigest() == digest
-    refused = module_run("series --function rk --n-max 3")
+    refused = _module_run("series --function rk --n-max 3")
     assert refused.returncode == 2
     assert refused.stderr.decode().startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    "series --function rk --k 2 --n-max 16 --specialize 1/5,2/5 --format csv",
+    "enumerate --object ksu --n 12 --k 3 --format csv",
+])
+def test_modules_loaded_on_first_use_in_a_fresh_process(argv):
+    # `specialize` and `marked` load inside the command; in this process
+    # earlier tests have loaded them already, so only a fresh one shows a
+    # missing import
+    result = _module_run(argv)
+    assert result.returncode == 0, result.stderr.decode()
+    assert hashlib.sha256(result.stdout).hexdigest() == dict(GOLDEN_OUTPUT)[argv]
 
 
 @pytest.mark.parametrize("module,name,argv", [
@@ -524,6 +538,7 @@ def test_module_entry_point():
     (combinat, "marked_durfee_censuses", "verify --suite thm-1-1 --n-max 3 --k-max 1"),
     (combinat, "even_part_parity_counts", "verify --suite thm-1-5 --n-max 4 --k-max 2"),
     (combinat, "enumerate_marked_unimodal", "enumerate --object ksu --n 4 --k 2"),
+    (combinat, "enumerate_marked_durfee", "enumerate --object kdurfee --n 4 --k 2"),
 ])
 def test_tables_look_functions_up_at_call_time(capsys, monkeypatch, module, name, argv):
     # wrappers installed on module attributes after import (the benchmark's
@@ -569,6 +584,21 @@ def test_budget_counts_match_enumerations():
         column = cli._OBJECTS["kdurfee"][1](n_max, k)
         assert all(column[n] >= sum(combinat.rank_census_marked_durfee(n, k).values())
                    for n in range(1, n_max + 1))
+
+
+def test_kdurfee_column_builds_no_bounds_table(monkeypatch):
+    # the column is computed alone, in closed form, even where every
+    # earlier row of the thm-1-1 table would be built
+    expected = cli._durfee_bounds(40, 41)[-1], cli._durfee_bounds(40, 7)[-1]
+
+    def refuse(n_max, k_max):
+        raise AssertionError("the kdurfee column built the bounds table")
+
+    monkeypatch.setattr(cli, "_durfee_bounds", refuse)
+    column = cli._OBJECTS["kdurfee"][1]
+    assert (column(40, 41), column(40, 7)) == expected
+    partitions = cli._partition_count_list(500)
+    assert column(500, 500) == [0] * 500 + [partitions[500] * math.comb(999, 499) ** 2]
 
 
 def test_thm_1_1_estimate_stops_at_the_first_zero_row():

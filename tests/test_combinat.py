@@ -18,7 +18,7 @@ from marking_oracle import (
     unimodal_by_filter,
 )
 
-from qranks import combinat
+from qranks import combinat, marked
 from qranks.combinat import (
     KMarkedDurfeeSymbol,
     KMarkedSUSymbol,
@@ -804,6 +804,6 @@ class TestParts:
                     chains = list(pick(range(1, below + 1), count))
                     for room in range(31):
                         expected = sorted(c for c in chains if sum(c) <= room)
-                        got = list(combinat._chains(count, below, room, strict))
+                        got = list(marked._chains(count, below, room, strict))
                         assert sorted(got) == expected, (count, below, room, strict)
                         assert len(set(got)) == len(got)

@@ -46,17 +46,19 @@ def test_no_state_between_calls(path):
 
 
 def test_combinat_shares_no_code_with_the_series_side():
-    """`combinat` is the census side of every verified identity and `genfun`
-    with `series` the generating-function side, so `combinat` imports
-    neither, by any form of import."""
-    path = next(p for p in SOURCES if p.name == "combinat.py")
+    """`combinat`, with the marked listings of `marked`, is the census side
+    of every verified identity and `genfun` with `series` the
+    generating-function side, so neither module imports either of the
+    latter, by any form of import."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.ImportFrom):
-            names.update((node.module or "").split("."))
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                names.update(alias.name.split("."))
+    for path in (p for p in SOURCES if p.name in ("combinat.py", "marked.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names.update((node.module or "").split("."))
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    names.update(alias.name.split("."))
+    assert "combinat" in names  # marked.py was read
     assert not names & {"genfun", "series"}, sorted(names)
 
 
@@ -175,28 +177,60 @@ def _modules_added_by(statement: str) -> set[str]:
 
 
 def test_import_qranks_leaves_the_census_side_unloaded():
+    """`import qranks` loads the series side only: the census side, the
+    specializer and the `fractions` and `decimal` it needs load on first
+    use."""
     added = _modules_added_by("import qranks")
-    assert "qranks.genfun" in added and "qranks.specialize" in added
-    assert not added & {"qranks.combinat", "qranks.cli", "dataclasses", "inspect"}, added
+    assert {"qranks.genfun", "qranks.series"} <= added, added
+    assert not added & {"qranks.specialize", "qranks.combinat", "qranks.marked", "qranks.cli",
+                        "fractions", "decimal", "dataclasses", "inspect"}, added
 
 
 def test_import_cli_loads_neither_dataclasses_nor_inspect():
+    """`import qranks.cli` loads the census walks, but not the marked
+    listings, the specializer, `fractions` or `decimal`."""
     added = _modules_added_by("import qranks.cli")
     assert "qranks.combinat" in added
-    assert not added & {"dataclasses", "inspect"}, added
+    assert not added & {"qranks.marked", "qranks.specialize", "fractions", "decimal",
+                        "dataclasses", "inspect"}, added
+
+
+@pytest.mark.parametrize("module,name,loaded", [
+    ("qranks", "RootOfUnityVector", "qranks.specialize"),
+    ("qranks.combinat", "KMarkedSUSymbol", "qranks.marked"),
+])
+def test_first_lookup_loads_the_module_behind_a_name(module, name, loaded):
+    assert loaded not in _modules_added_by(f"import {module}")
+    assert loaded in _modules_added_by(f"import {module}\n{module}.{name}")
 
 
 def test_every_public_name_resolves():
-    from qranks import combinat
+    from qranks import combinat, specialize
     assert len(qranks.__all__) == 51 and qranks.__all__ == sorted(set(qranks.__all__))
     assert all(getattr(qranks, name) is not None for name in qranks.__all__)
     assert qranks.Partition is combinat.Partition
+    assert qranks.RootOfUnityVector is specialize.RootOfUnityVector
     assert set(qranks.__all__) <= set(dir(qranks))
     namespace = {}
     exec("from qranks import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == qranks.__all__
     with pytest.raises(AttributeError, match="has no attribute 'combinatorics'"):
         qranks.combinatorics
+
+
+MARKED = ("KMarkedDurfeeSymbol", "KMarkedSUSymbol", "MarkedPart", "durfee_ranks",
+          "enumerate_marked_durfee", "enumerate_marked_unimodal", "unimodal_ranks")
+
+
+def test_combinat_resolves_the_marked_names():
+    from qranks import combinat, marked
+    from qranks.combinat import enumerate_marked_durfee
+    assert enumerate_marked_durfee is marked.enumerate_marked_durfee
+    assert all(getattr(combinat, name) is getattr(marked, name) for name in MARKED)
+    assert set(MARKED) <= set(dir(combinat))
+    with pytest.raises(AttributeError,
+                       match="^module 'qranks.combinat' has no attribute 'enumerate_marked'$"):
+        combinat.enumerate_marked
 
 
 def test_sources_found():
