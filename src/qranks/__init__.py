@@ -5,10 +5,8 @@ The package has four layers:
 ``qranks.series``      truncated power series in q over integer Laurent
                        polynomials, with Pochhammer-product builders;
 ``qranks.combinat``    partitions, strongly unimodal sequences, their
-                       two-row symbols, rank statistics, the marked-symbol
-                       censuses and counts, and bijections, with
-                       ``qranks.marked`` (the k-marked symbols, their rank
-                       vectors and their listings);
+                       two-row symbols, marked versions (listed in
+                       ``qranks.marked``), rank statistics, and bijections;
 ``qranks.genfun``      every rank generating function as an exact series;
 ``qranks.specialize``  evaluation at vectors of roots of unity (exact over
                        the Gaussian integers for fourth roots, else float
@@ -16,14 +14,11 @@ The package has four layers:
 
 ``qranks.cli`` exposes the same functionality as the ``qranks`` command.
 
-``import qranks`` loads ``series`` and ``genfun``.  The census side,
-``combinat``, loads when one of its names is first looked up here (or when
-``qranks.cli`` or a census-reading builder imports it), so a program that
-only builds series never loads it; ``combinat`` in turn loads ``marked``
-when one of the marked names is first looked up.  ``specialize`` loads
-when one of its names is first looked up here (or when ``qranks.cli``
-evaluates a series at roots of unity).  Nothing is cached here: each
-lookup of a ``combinat`` or ``specialize`` name reads the module again.
+``import qranks`` loads ``series`` and ``genfun``.  ``combinat`` and
+``specialize`` load when one of their names is first looked up here, or
+when ``qranks.cli`` (or, for ``combinat``, a census-reading builder)
+imports them, so a program that only builds series loads neither.
+Nothing is cached here: each lookup reads the module again.
 """
 
 from .genfun import (
@@ -40,8 +35,7 @@ from .series import FactorSpec, LaurentCoefficient, TruncatedSeries, pochhammer
 
 __version__ = "0.1.0"
 
-# the public names of qranks.combinat and qranks.specialize, resolved by
-# __getattr__ on first use
+# public names of combinat and specialize, resolved by __getattr__ on first use
 _COMBINAT = (
     "DurfeeSymbol",
     "KMarkedDurfeeSymbol",
@@ -96,8 +90,7 @@ def __dir__():
     return sorted(set(globals()) | set(_COMBINAT) | set(_SPECIALIZE))
 
 
-# every public class and function imported above or named in _COMBINAT or
-# _SPECIALIZE, and nothing else
+# every public class and function imported above or resolved by __getattr__
 __all__ = sorted(_COMBINAT + _SPECIALIZE + tuple(
     name for name, value in globals().items()
     if not name.startswith("_") and getattr(value, "__module__", "").startswith("qranks.")))

@@ -135,7 +135,6 @@ def cmd_series(args, out) -> int:
         return 0
     # loaded here only: no other command evaluates at roots of unity
     from .specialize import RootOfUnityVector, specialize_exact, specialize_numeric
-
     specs = [a.strip() for a in args.specialize.split(",") if a.strip()]
     if s.var_count == 0:
         raise UsageError(f"--function {args.function} has no x variables")
@@ -188,18 +187,14 @@ def _durfee_bounds(n_max: int, k_max: int) -> list[list[int]]:
     return bounds
 
 
-def _durfee_column(n_max: int, k: int) -> list[int]:
-    """Row k of :func:`_durfee_bounds` alone, in closed form; every k past
-    n_max + 1 gives that row, all 0."""
-    k = min(k, n_max + 1)
-    partitions = _partition_count_list(n_max)
-    return [0] * k + [partitions[n] * math.comb(n + k - 1, k - 1) ** 2
-                      for n in range(k, n_max + 1)]
-
-
 # ----------------------------------------------------------------------
 # enumerate
 # ----------------------------------------------------------------------
+
+def _ranked(ranks, symbols):
+    """(rank vector, render) pairs; ``ranks`` is looked up once per listing."""
+    return ((list(ranks(sym)), sym.render()) for sym in symbols)
+
 
 # object: (listing(n, k) of (ranks, render) pairs,
 #          budget count column(n_max, k) indexed by n, takes --k,
@@ -215,12 +210,11 @@ _OBJECTS = {
         lambda n_max, k: combinat.marked_unimodal_counts(n_max, 1)[0], False, 1,
         "this object"),
     "kdurfee": (
-        lambda n, k: ((list(combinat.durfee_ranks(sym)), sym.render())
-                      for sym in combinat.enumerate_marked_durfee(n, k)),
-        _durfee_column, True, 1, "this object"),
+        lambda n, k: _ranked(combinat.durfee_ranks, combinat.enumerate_marked_durfee(n, k)),
+        lambda n_max, k: _durfee_bounds(n_max, k)[-1], True, 1, "this object"),
     "ksu": (
-        lambda n, k: ((list(combinat.unimodal_ranks(sym)), sym.render())
-                      for sym in combinat.enumerate_marked_unimodal(n, k)),
+        lambda n, k: _ranked(combinat.unimodal_ranks,
+                             combinat.enumerate_marked_unimodal(n, k)),
         lambda n_max, k: combinat.marked_unimodal_counts(n_max, k)[-1], True, 1,
         "this object"),
 }

@@ -4,9 +4,8 @@ The objects here come in unmarked and marked flavours.  An unmarked symbol
 records what sits left/right of a peak (or above/below a Durfee square); a
 k-marked symbol additionally tags every part with a mark from 1..k subject
 to ordering and interval rules, which is what makes k independent rank
-statistics possible.  The k-marked symbols, their rank vectors and their
-listings live in :mod:`qranks.marked`; their public names resolve here
-through a module ``__getattr__``, which loads that module on first use.
+statistics possible.  The k-marked symbols are listed in :mod:`qranks.marked`,
+whose public names resolve here, loading it on first use.
 
 All enumerations are exhaustive, duplicate-free and returned in a documented
 canonical order so they can serve as oracles for the generating functions in

@@ -1,14 +1,8 @@
 """The k-marked Durfee and strongly unimodal symbols, their rank vectors and
-their listings.
-
-One validator, :func:`_marked_violation`, states the ordering and interval
-rules of both families.  One pool filler, :func:`_marked_rows`, builds every
-symbol of a size from its profile of largest marked parts, each chain of
-which comes from :func:`_chains`, a walk that enters only branches that fit.
-:mod:`qranks.combinat` counts the same symbols without building any, and
-resolves the public names here on first use, so a program that only counts
-never loads this module.  Nothing here imports :mod:`qranks.series` or
-:mod:`qranks.genfun`.
+their listings: one validator, :func:`_marked_violation`, for both families,
+and one pool filler, :func:`_marked_rows`, fed by :func:`_chains`, a walk
+that enters only branches that fit.  :mod:`qranks.combinat` counts these
+symbols without building any, and loads this module on first use.
 """
 
 from __future__ import annotations

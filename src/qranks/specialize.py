@@ -8,9 +8,8 @@ With L the lcm of the angle denominators, a monomial's value is
 e^(2*pi*i*t/L) for its turn count t in [0, L), so each call builds one
 unit table keyed by t and evaluates each root of unity at most once, not
 once per monomial.  Turn counts are computed column-wise: one C-level
-pass per variable, then one reduction mod L, over all keys of the series
-on the exact path and over the keys of each coefficient on the numeric
-one.  The numeric path folds value * unit left to right from 0j in
+pass per variable over all keys of a coefficient, then one reduction mod
+L.  The numeric path folds value * unit left to right from 0j in
 ascending key order.
 """
 
@@ -21,7 +20,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, repeat
+from itertools import repeat
 from operator import add, mod, mul
 
 from ._record import Record
@@ -117,9 +116,7 @@ def specialize_exact(s: TruncatedSeries, v: RootOfUnityVector) -> GaussianSeries
     Every angle denominator must divide 4, so each variable takes a value
     in {1, i, -1, -i} and each monomial contributes an exact Gaussian
     integer: the real and imaginary rows of the unit table, indexed by the
-    monomial's turn count, weight its integer coefficient.  The turn counts
-    and weighted values of every monomial of the series are formed in one
-    pass, and each q-order sums its own slice of them.
+    monomial's turn count, weight its integer coefficient.
     """
     _check_arity(s, v)
     for f in v.entries:
@@ -129,14 +126,13 @@ def specialize_exact(s: TruncatedSeries, v: RootOfUnityVector) -> GaussianSeries
             )
     period, turns = _turns(v)
     re_row, im_row = zip(*(_GAUSSIAN_UNITS[4 * t // period] for t in range(period)))
-    terms = [c.terms for c in s.coeffs]
-    counts = _turn_counts(list(chain.from_iterable(terms)), turns, period)
-    values = list(chain.from_iterable(t.values() for t in terms))
-    re = list(map(mul, values, map(re_row.__getitem__, counts)))
-    im = list(map(mul, values, map(im_row.__getitem__, counts)))
-    ends = list(accumulate(map(len, terms)))
-    return GaussianSeries(s.truncation_order, tuple(
-        (sum(re[start:end]), sum(im[start:end])) for start, end in zip([0] + ends, ends)))
+    coeffs = []
+    for c in s.coeffs:
+        counts = _turn_counts(c.terms, turns, period)
+        values = c.terms.values()
+        coeffs.append((sum(map(mul, values, map(re_row.__getitem__, counts))),
+                       sum(map(mul, values, map(im_row.__getitem__, counts)))))
+    return GaussianSeries(s.truncation_order, tuple(coeffs))
 
 
 def specialize_numeric(s: TruncatedSeries, v: RootOfUnityVector) -> ComplexSeries:

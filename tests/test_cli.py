@@ -586,21 +586,6 @@ def test_budget_counts_match_enumerations():
                    for n in range(1, n_max + 1))
 
 
-def test_kdurfee_column_builds_no_bounds_table(monkeypatch):
-    # the column is computed alone, in closed form, even where every
-    # earlier row of the thm-1-1 table would be built
-    expected = cli._durfee_bounds(40, 41)[-1], cli._durfee_bounds(40, 7)[-1]
-
-    def refuse(n_max, k_max):
-        raise AssertionError("the kdurfee column built the bounds table")
-
-    monkeypatch.setattr(cli, "_durfee_bounds", refuse)
-    column = cli._OBJECTS["kdurfee"][1]
-    assert (column(40, 41), column(40, 7)) == expected
-    partitions = cli._partition_count_list(500)
-    assert column(500, 500) == [0] * 500 + [partitions[500] * math.comb(999, 499) ** 2]
-
-
 def test_thm_1_1_estimate_stops_at_the_first_zero_row():
     estimate = cli._SUITES["thm-1-1"][3]
     assert estimate(20, 10 ** 5) == estimate(20, 21) == estimate(20, 20)
