@@ -124,8 +124,8 @@ def _build_series(function: str, k: int | None, n_max: int,
 
 
 def cmd_series(args, out) -> int:
-    s = _build_series(args.function, args.k, args.n_max, args.form)
     if args.specialize is None:
+        s = _build_series(args.function, args.k, args.n_max, args.form)
         records = ({"function": args.function, "k": args.k, "n": n,
                     "exponents": list(exps), "value": coeff.terms[exps]}
                    for n, coeff in enumerate(s.coeffs) for exps in sorted(coeff.terms))
@@ -136,16 +136,18 @@ def cmd_series(args, out) -> int:
     # loaded here only: no other command evaluates at roots of unity
     from .specialize import RootOfUnityVector, specialize_exact, specialize_numeric
     specs = [a.strip() for a in args.specialize.split(",") if a.strip()]
-    if s.var_count == 0:
+    # the angles are checked against the series at q^0 (a negative --n-max
+    # still fails there first), so a bad list is refused before the build
+    var_count = _build_series(args.function, args.k, min(args.n_max, 0), args.form).var_count
+    if var_count == 0:
         raise UsageError(f"--function {args.function} has no x variables")
-    if len(specs) != s.var_count:
-        raise UsageError(
-            f"--specialize needs {s.var_count} angles, got {len(specs)}"
-        )
+    if len(specs) != var_count:
+        raise UsageError(f"--specialize needs {var_count} angles, got {len(specs)}")
     try:
         v = RootOfUnityVector.from_strings(specs)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad angle list: {exc}") from exc
+    s = _build_series(args.function, args.k, args.n_max, args.form)
     # CSV columns (frozen): n,re,im for the exact path,
     # n,re,im,error_bound for the numeric path
     if all(4 % f.denominator == 0 for f in v.entries):

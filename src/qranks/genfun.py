@@ -1,37 +1,20 @@
 """Builders for every rank generating function, as exact truncated series.
 
 Each multi-sum builder sums a k-fold nested family of Pochhammer-product
-terms over indices M_1 <= M_2 <= ... <= M_k (strictly increasing for the
-unimodal families).  No builder forms its terms one by one: one evaluator,
-:func:`_nested_sum`, sums from the innermost index outwards (Horner's rule
-for nested sums).  S_j(b), the sum over M_j >= b and every later index,
-follows from S_j(b+1) and from S_(j+1) at M_j = b by one step.  Partial
-sums stay accumulators, which only :mod:`qranks.series` builds, copies and
-adds: a step only reads S_j(b+1), adds it (times q^p, or for uk times
-(1 + x_j q^b)(1 + x_j^-1 q^b), two one-binomial series built up to q^(2b),
-where their product ends) into the head, and multiplies or divides the head
-in place by binomials 1 + c*x^e*q^p (:func:`qranks.series._binomial`); no
-step reads an accumulator's length, and only the final sum becomes a
-series.  A builder thus makes O(k*N) in-place operations of about
-O(N * terms) each, as the kernel skips zero coefficients, where a
-term-by-term sum makes one full product per factor of every term.  Each level
-keeps only the powers of q its outer indices leave room for, and S_j(b) is
-never formed once its least q-power exceeds them, so the result is exact.
-
-The two self-conjugate forms share the evaluator and the series ring, so
-they are not independent of each other; both are checked against the
-symmetric table of :func:`qranks.combinat.marked_unimodal_counts`, which
-shares no code with this module.  Builders are deterministic and pure,
-and each one checks explicitly (also under ``python -O``) that no rank
-exponent exceeds the size it appears at.
+terms over indices M_1 <= ... <= M_k (strictly increasing for the unimodal
+families) through one evaluator, :func:`_nested_sum`, which sums from the
+innermost index outwards (Horner's rule for nested sums).  A builder thus
+makes O(k*N) in-place operations on accumulators of :mod:`qranks.series`,
+where a term-by-term sum makes one full product per factor of every term.
+The partition and unimodal rank series are the marked builders at k=1.
 
 Coefficients of the multivariate series are Laurent polynomials in
 x_1..x_k; the integer attached to x^(m_1,..,m_k) q^n counts symbols of size
-n whose j-th rank is m_j.  That equivalence is what the test suite checks
-against the enumerations in :mod:`qranks.combinat`; it is never assumed
-here.  The two builders that read a census table,
-:func:`mock_theta_psi` (``form="enumerative"``) and
-:func:`even_part_parity_series`, import :mod:`qranks.combinat` when they
+n whose j-th rank is m_j.  The test suite checks that against the
+enumerations in :mod:`qranks.combinat`, which shares no code with this
+module; it is never assumed here.  The two self-conjugate forms share the
+evaluator, so both are checked against the census side as well.  The
+builders that read a census table import :mod:`qranks.combinat` when they
 run, so importing this module does not load the census side.
 """
 
@@ -68,6 +51,10 @@ def _nested_sum(k: int, n_max: int, var_count: int, gap: int, power, step) -> Tr
     that of S_(j+1)(b + gap), must grow with b, and power(j, b) >= b; sums
     whose least q-power exceeds the level's top are never formed.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     tops = [n_max]  # tops[j - 1] = n_max - room_j, for j = 1..k+1
     for j in range(1, k + 1):
         tops.append(tops[-1] - power(j, 1 + (j - 1) * gap))
@@ -88,23 +75,6 @@ def _nested_sum(k: int, n_max: int, var_count: int, gap: int, power, step) -> Tr
     return TruncatedSeries._from_buckets(n_max, var_count, inner[1][1])  # S_1(1) to q^n_max
 
 
-def _durfee_sum(k: int, n_max: int) -> TruncatedSeries:
-    """The sum over 1 <= M_1 <= ... <= M_k of
-
-        q^(M_k^2 + M_1 + ... + M_(k-1))
-        / prod_(j=1..k) prod_(p=M_(j-1)..M_j) (1 - x_j q^p)(1 - x_j^-1 q^p)
-
-    with M_0 = 1, by S_j(b) = (q^(b or b^2) S_(j+1)(b) + S_j(b+1)) divided
-    by (1 - x_j q^b)(1 - x_j^-1 q^b).
-    """
-    def step(j, b, head, rest):
-        _add(head, rest)
-        _binomial(head, -1, _x(j, 1, k), b, -1)
-        _binomial(head, -1, _x(j, -1, k), b, -1)
-
-    return _nested_sum(k, n_max, k, 0, lambda j, b: b * b if j == k else b, step)
-
-
 def partition_series(n_max: int) -> TruncatedSeries:
     """Partition counts p(0..n_max): 1 / prod (1 - q^n)."""
     euler = pochhammer(FactorSpec(1, None, 1, 1, 1), None, n_max, 0)
@@ -113,29 +83,29 @@ def partition_series(n_max: int) -> TruncatedSeries:
 
 def partition_rank_series(n_max: int) -> TruncatedSeries:
     """Two-variable rank series for partitions: sum over t >= 0 of
-    q^(t^2) / ((x1 q; q)_t (x1^-1 q; q)_t), one x variable.  The terms with
-    t >= 1 are the k=1 Durfee sum."""
-    return _checked(TruncatedSeries.one(n_max, 1) + _durfee_sum(1, n_max))
+    q^(t^2) / ((x1 q; q)_t (x1^-1 q; q)_t), one x variable.  This is the
+    k=1 marked Durfee sum."""
+    return marked_durfee_rank_series(1, n_max)
 
 
 def marked_durfee_rank_series(k: int, n_max: int) -> TruncatedSeries:
-    """Rank series for k-marked Durfee symbols.
-
-    For k >= 2 this is the multi-sum over m_1 > 0, m_2..m_k >= 0 of
+    """Rank series for k-marked Durfee symbols: the sum over
+    1 <= M_1 <= ... <= M_k of
 
         q^(M_k^2 + M_1 + ... + M_(k-1))
-        / [ (x1 q; q)_(m_1) (x1^-1 q; q)_(m_1)
-            prod_(j=2..k) (x_j q^(M_(j-1)); q)_(m_j+1)
-                          (x_j^-1 q^(M_(j-1)); q)_(m_j+1) ]
+        / prod_(j=1..k) prod_(p=M_(j-1)..M_j) (1 - x_j q^p)(1 - x_j^-1 q^p)
 
-    with M_j = m_1 + ... + m_j.  k=1 routes to
-    :func:`partition_rank_series`.
+    with M_0 = 1, plus 1 (the empty partition) at k=1.  Summed as
+    S_j(b) = (q^(b or b^2) S_(j+1)(b) + S_j(b+1))
+             / ((1 - x_j q^b)(1 - x_j^-1 q^b)).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        return partition_rank_series(n_max)
-    return _checked(_durfee_sum(k, n_max))
+    def step(j, b, head, rest):
+        _add(head, rest)
+        _binomial(head, -1, _x(j, 1, k), b, -1)
+        _binomial(head, -1, _x(j, -1, k), b, -1)
+
+    s = _nested_sum(k, n_max, k, 0, lambda j, b: b * b if j == k else b, step)
+    return _checked(TruncatedSeries.one(n_max, 1) + s if k == 1 else s)
 
 
 def unimodal_rank_series(n_max: int) -> TruncatedSeries:
@@ -161,9 +131,6 @@ def marked_unimodal_rank_series(k: int, n_max: int) -> TruncatedSeries:
              + (1 + x_j q^b)(1 + x_j^-1 q^b) S_j(b+1),
     without the middle factor at j = k.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-
     def step(j, b, head, rest):
         if j < k:
             _binomial(head, 1, _x(j, -1, k), b)
@@ -193,8 +160,6 @@ def self_conjugate_series(k: int, n_max: int, form: str = "raw") -> TruncatedSer
     with each 1/(1 + q^(2M_j)) realized by series division.  Both forms
     agree at every truncation.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if form not in ("raw", "simplified"):
         raise ValueError(f"unknown form {form!r}")
 
@@ -227,8 +192,6 @@ def mock_theta_psi(n_max: int, form: str = "theta") -> TruncatedSeries:
     form="enumerative": coefficients read from one table of the
     self-conjugate symbol counts.  All three agree at every truncation.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     if form == "theta":
         def step(j, b, head, rest):
             _add(head, rest)
@@ -251,8 +214,6 @@ def even_part_parity_series(k: int, n_max: int) -> TruncatedSeries:
     Coefficient-wise this equals :func:`self_conjugate_series`; the test
     suite checks that identity, this builder does not assume it.
     """
-    if k < 2:
-        raise ValueError("defined for k >= 2 only")
     sign = (-1) ** k
     from . import combinat
     return TruncatedSeries.from_integer_coefficients(

@@ -152,12 +152,7 @@ class LaurentCoefficient(Record):
             )
         return self.terms.get(tuple(exponents), 0)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentCoefficient):
-            return NotImplemented
-        return self.var_count == other.var_count and self.terms == other.terms
-
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # Record's tuple hash fails on the terms dict
         return hash((self.var_count, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:

@@ -432,6 +432,22 @@ def test_usage_errors_and_refusals(capsys, argv, err):
     assert run(capsys, *argv.split()) == (2, "", err + "\n")
 
 
+def test_specialize_refuses_bad_angles_before_the_full_build(capsys, monkeypatch):
+    # the angles are checked against the series at q^0, so a refusal costs
+    # no build at --n-max
+    asked = []
+    original = genfun.partition_series
+
+    def recording(n_max):
+        asked.append(n_max)
+        return original(n_max)
+
+    monkeypatch.setattr(genfun, "partition_series", recording)
+    assert run(capsys, *"series --function partition --n-max 3000 --specialize 1/2".split()) == (
+        2, "", "error: --function partition has no x variables\n")
+    assert asked == [0]
+
+
 def test_parser_choices_and_help():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

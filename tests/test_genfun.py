@@ -189,10 +189,12 @@ class TestEvenPartParitySeries:
                 k, 30, "raw")
 
     def test_k_below_two_rejected(self):
-        with pytest.raises(ValueError, match="k >= 2"):
+        with pytest.raises(ValueError, match="^defined for k >= 2 only$"):
             genfun.even_part_parity_series(1, 5)
 
 
+# every builder, with the exact message; psi's pochhammer form comes last so
+# that the earlier ids stay as they were
 @pytest.mark.parametrize("build", [
     lambda n: genfun.partition_series(n),
     lambda n: genfun.partition_rank_series(n),
@@ -204,19 +206,23 @@ class TestEvenPartParitySeries:
     lambda n: genfun.mock_theta_psi(n, "theta"),
     lambda n: genfun.mock_theta_psi(n, "enumerative"),
     lambda n: genfun.even_part_parity_series(2, n),
+    lambda n: genfun.mock_theta_psi(n, "pochhammer"),
 ])
 def test_negative_truncation_rejected(build):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_max must be >= 0$"):
         build(-1)
 
 
-# the argument errors of this module that no other test reaches, with their
-# exact type and message
+# the other argument errors of this module, with their exact type and message
 ERRORS = [
+    pytest.param(lambda: genfun.marked_durfee_rank_series(0, 5), ValueError,
+                 "k must be >= 1", id="marked_durfee_rank_series-k"),
     pytest.param(lambda: genfun.marked_unimodal_rank_series(0, 5), ValueError,
                  "k must be >= 1", id="marked_unimodal_rank_series-k"),
     pytest.param(lambda: genfun.self_conjugate_series(0, 5), ValueError,
                  "k must be >= 1", id="self_conjugate_series-k"),
+    pytest.param(lambda: genfun.self_conjugate_series(0, 5, "simplified"), ValueError,
+                 "k must be >= 1", id="self_conjugate_series-simplified-k"),
     pytest.param(lambda: genfun.mock_theta_psi(5, "fancy"), ValueError,
                  "unknown form 'fancy'", id="mock_theta_psi-form"),
 ]

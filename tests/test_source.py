@@ -131,6 +131,20 @@ def test_nested_sum_steps_name_no_series():
     assert not layout, sorted(layout)
 
 
+def test_nested_sum_alone_checks_k_and_n_max():
+    """`genfun._nested_sum` makes the k and n_max checks of every builder
+    that sums one: each message is written once in `genfun`, inside it, so
+    a new nested-sum builder inherits the checks instead of copying them."""
+    path = next(p for p in SOURCES if p.name == "genfun.py")
+    text = path.read_text()
+    tree = ast.parse(text, filename=str(path))
+    for message in ("k must be >= 1", "n_max must be >= 0"):
+        owners = [func.name for func in tree.body if isinstance(func, ast.FunctionDef)
+                  for node in ast.walk(func)
+                  if isinstance(node, ast.Constant) and node.value == message]
+        assert owners == ["_nested_sum"] and text.count(message) == 1, (message, owners)
+
+
 def test_genfun_leaves_the_accumulator_layout_to_series():
     """`genfun` builds, copies and adds accumulators only through `series`:
     it names neither the kernel loop `_convolve` nor the layout `Buckets`."""
