@@ -246,9 +246,27 @@ def cmd_enumerate(args, out) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-def _first_census_mismatch(series_terms, census) -> str | None:
+def _x_form(terms: dict) -> dict:
+    """A coefficient in y_j = x_j + 1/x_j rewritten in x, one variable at a
+    time, by y_j^a = sum_i C(a, i) x_j^(a - 2i); zero sums dropped."""
+    for j in range(len(next(iter(terms), ()))):
+        expanded: dict = {}
+        for exps, value in terms.items():
+            a = exps[j]
+            for i in range(a + 1):
+                key = exps[:j] + (a - 2 * i,) + exps[j + 1:]
+                expanded[key] = expanded.get(key, 0) + math.comb(a, i) * value
+        terms = expanded
+    return {exps: value for exps, value in terms.items() if value}
+
+
+def _first_census_mismatch(series_terms, census, y_basis: bool = False) -> str | None:
+    """None when the two coefficients agree, else the first differing rank
+    vector; y-basis coefficients are compared in y and reported in x."""
     if series_terms == census:
         return None
+    if y_basis:
+        series_terms, census = _x_form(series_terms), _x_form(census)
     for key in sorted(set(series_terms) | set(census)):
         a, b = series_terms.get(key, 0), census.get(key, 0)
         if a != b:
@@ -271,12 +289,14 @@ def _first_broken(objects, round_trip, called: str) -> str | None:
     return None
 
 
-def _cells_census(build, censuses, n_max: int, k_max: int):
-    """Each q^n coefficient of build(k, n_max) against censuses(n_max, k)[n]."""
+def _cells_census(build, censuses, n_max: int, k_max: int, y_basis: bool = False):
+    """Each q^n coefficient of build(k, n_max) against censuses(n_max, k)[n],
+    both in y_j = x_j + 1/x_j with ``y_basis``."""
+    basis = {"y_basis": True} if y_basis else {}
     for k in range(1, k_max + 1):
-        series, census = build(k, n_max), censuses(n_max, k)
+        series, census = build(k, n_max, **basis), censuses(n_max, k, **basis)
         for n in range(1, n_max + 1):
-            detail = _first_census_mismatch(series.coeffs[n].terms, census[n])
+            detail = _first_census_mismatch(series.coeffs[n].terms, census[n], y_basis)
             yield {"k": k, "n": n}, detail
 
 
@@ -347,7 +367,7 @@ _SUITES = {
             map(sum, combinat.marked_unimodal_counts(n_max, k_max)))),
     "thm-1-1": (lambda n_max, k_max: _cells_census(
         genfun.marked_durfee_rank_series, combinat.marked_durfee_censuses,
-        n_max, k_max), 18, 2,
+        n_max, k_max, y_basis=True), 18, 2,
         lambda n_max, k_max: sum(map(sum, _durfee_bounds(n_max, k_max)))),
     "thm-1-5": (_cells_thm15, 30, 3, _thm15_estimate),
     "psi": (lambda n_max, k_max: _cells_psi(n_max), 50, None,

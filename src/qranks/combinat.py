@@ -17,12 +17,14 @@ mode (parts between two bounds, weak or strict); the marked listings of
 builds a marked symbol: two walks up the part values,
 :func:`marked_durfee_censuses` and :func:`marked_unimodal_censuses`, count
 them by size and rank vector (an open Durfee mark only at the sizes that
-leave room for its forced parts) and share no code with the listing, one
-knapsack over the peaks, :func:`marked_unimodal_counts`, counts the marked
-unimodal and symmetric symbols, and two integer tables grown per number of
-odd parts, :func:`even_part_parity_counts`, weigh each even part t = +1 or
-t = -1 to count the decorated odd-part configurations by parity.  Nothing
-is cached, and nothing is shared with :mod:`qranks.genfun`.
+leave room for its forced parts; the Durfee walk also by exponent vector
+of y_j = x_j + 1/x_j, with signed values) and share no code with the
+listing, one knapsack over the peaks, :func:`marked_unimodal_counts`,
+counts the marked unimodal and symmetric symbols, and two integer tables
+grown per number of odd parts, :func:`even_part_parity_counts`, weigh each
+even part t = +1 or t = -1 to count the decorated odd-part configurations
+by parity.  Nothing is cached, and nothing is shared with
+:mod:`qranks.genfun`.
 """
 
 from __future__ import annotations
@@ -325,7 +327,8 @@ def _walk_start(n_max: int, k: int, least: int):
     return censuses, blocks
 
 
-def marked_durfee_censuses(n_max: int, k: int) -> list[dict[RankVector, int]]:
+def marked_durfee_censuses(n_max: int, k: int,
+                           y_basis: bool = False) -> list[dict[RankVector, int]]:
     """censuses[n]: rank vector -> number of k-marked Durfee symbols of n,
     keys ascending, for every n <= n_max, from one walk up the part values v.
 
@@ -334,20 +337,30 @@ def marked_durfee_censuses(n_max: int, k: int) -> list[dict[RankVector, int]]:
     which adds no rank and opens mark j + 1 at the same v.  Mark k is
     emitted with side v.  Mark j at v still owes M_j..M_(k-1) >= v and the
     square v^2, so its block walks only the sizes that leave room for them.
+
+    Together those parts v multiply mark j's block by 1 / (1 - y_j q^v +
+    q^(2v)), y_j = x_j + 1/x_j; ``y_basis`` absorbs them so, in one pass,
+    and keys the censuses by exponent vectors of y, values signed.
     """
     censuses, blocks = _walk_start(n_max, k, least=k)
     for v in range(1, isqrt(n_max) + 1) if blocks else ():
         for j, block in enumerate(blocks, 1):
             room = n_max - v * v - (k - j) * v
-            for step in (-1, 1):  # s ascending: v joins as often as it fits
+            if y_basis:  # s ascending: block[s] += y_j block[s - v] - block[s - 2v]
                 for s in range(v, room + 1):
-                    _moved(block[s], block[s - v], step)
+                    _moved(block[s], block[s - v], 1)
+                    for ranks, count in block[s - 2 * v].items() if s >= 2 * v else ():
+                        block[s][ranks] = block[s].get(ranks, 0) - count
+            else:
+                for step in (-1, 1):  # s ascending: v joins as often as it fits
+                    for s in range(v, room + 1):
+                        _moved(block[s], block[s - v], step)
             if j < k:  # block j + 1 has v more room
                 for s in range(room + 1):
                     _moved(blocks[j][s + v], block[s], None)
         for s in range(n_max - v * v + 1):
             censuses[s + v * v].update(blocks[-1][s])
-    return [dict(sorted(census.items())) for census in censuses]
+    return [dict(sorted(item for item in census.items() if item[1])) for census in censuses]
 
 
 def marked_unimodal_censuses(n_max: int, k: int) -> list[dict[RankVector, int]]:

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .series import (FactorSpec, TruncatedSeries, _add, _add_product, _binomial, _shifted,
-                     _unit, _x, pochhammer)
+from .series import (FactorSpec, TruncatedSeries, _add, _add_product, _binomial,
+                     _divide_trinomial, _shifted, _unit, _x, pochhammer)
 
 
 def _checked(s: TruncatedSeries) -> TruncatedSeries:
@@ -88,7 +88,7 @@ def partition_rank_series(n_max: int) -> TruncatedSeries:
     return marked_durfee_rank_series(1, n_max)
 
 
-def marked_durfee_rank_series(k: int, n_max: int) -> TruncatedSeries:
+def marked_durfee_rank_series(k: int, n_max: int, y_basis: bool = False) -> TruncatedSeries:
     """Rank series for k-marked Durfee symbols: the sum over
     1 <= M_1 <= ... <= M_k of
 
@@ -98,11 +98,18 @@ def marked_durfee_rank_series(k: int, n_max: int) -> TruncatedSeries:
     with M_0 = 1, plus 1 (the empty partition) at k=1.  Summed as
     S_j(b) = (q^(b or b^2) S_(j+1)(b) + S_j(b+1))
              / ((1 - x_j q^b)(1 - x_j^-1 q^b)).
+
+    Each denominator is 1 - y_j q^b + q^(2b) with y_j = x_j + 1/x_j, so
+    every coefficient is a polynomial in y_1..y_k; with ``y_basis`` the
+    exponent vectors are those of y (one division per step, not two).
     """
     def step(j, b, head, rest):
         _add(head, rest)
-        _binomial(head, -1, _x(j, 1, k), b, -1)
-        _binomial(head, -1, _x(j, -1, k), b, -1)
+        if y_basis:
+            _divide_trinomial(head, _x(j, 1, k), b)
+        else:
+            _binomial(head, -1, _x(j, 1, k), b, -1)
+            _binomial(head, -1, _x(j, -1, k), b, -1)
 
     s = _nested_sum(k, n_max, k, 0, lambda j, b: b * b if j == k else b, step)
     return _checked(TruncatedSeries.one(n_max, 1) + s if k == 1 else s)

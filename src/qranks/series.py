@@ -16,7 +16,8 @@ indexed by the power of q.  Its one loop over the monomials is
 one, and :func:`_add_product` a series times one (``*``, and uk's steps by
 a product of two binomials).  :func:`_binomial` multiplies or divides one
 in place by 1 + c*x^e*q^p (x^e from :func:`_x`), as in :func:`pochhammer`
-and the nested sums of :mod:`qranks.genfun`.
+and the nested sums of :mod:`qranks.genfun`, and :func:`_divide_trinomial`
+divides one by 1 - x^e*q^p + q^(2p).
 :meth:`TruncatedSeries._from_buckets` turns every constructor's accumulator
 into coefficients, one zero shared by all the empty ones.  A binomial step
 costs O(N * terms), as zero coefficients cost nothing; ``inverse()`` is 1 / s.
@@ -109,6 +110,11 @@ def _binomial(acc: Buckets, c: int, exps: tuple[int, ...], p: int, sign: int = 1
     """Multiply (sign = 1) or, for p >= 1, divide (sign = -1) ``acc`` in place
     by 1 + c * x^exps * q^p; a q^0 factor reads a copy of the buckets."""
     _convolve(acc, [(p, {exps: c})], acc if p else [dict(b) for b in acc], sign)
+
+
+def _divide_trinomial(acc: Buckets, exps: tuple[int, ...], p: int) -> None:
+    """Divide ``acc`` in place by 1 - x^exps * q^p + q^(2p), p >= 1."""
+    _convolve(acc, [(p, {exps: -1}), (2 * p, {(0,) * len(exps): 1})], acc, -1)
 
 
 class LaurentCoefficient(Record):

@@ -102,6 +102,19 @@ def test_criterion_2_at_scale_thm_1_1_cells():
         assert time.monotonic() - started < 30
 
 
+def test_criterion_2_at_scale_thm_1_1_n60():
+    with criterion("2 at scale (qranks verify thm-1-1 cells in y_j = x_j + 1/x_j, k<=3, n<=60)"):
+        started = time.monotonic()
+        out = io.StringIO()
+        # the budget estimate still counts listed symbols (1.7e13 here)
+        argv = ["verify", "--suite", "thm-1-1", "--k-max", "3", "--n-max", "60",
+                "--budget", str(10 ** 20)]
+        with redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert out.getvalue().splitlines()[-1] == "summary: 180 cells, 180 passed, 0 failed"
+        assert time.monotonic() - started < 30
+
+
 def test_criterion_3_self_conjugate_identity():
     with criterion("3 (self-conjugate counts = signed parity difference, k<=3, n<=30)"):
         started = time.monotonic()

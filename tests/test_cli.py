@@ -223,6 +223,25 @@ class TestEnumerateCommand:
         assert code == 0
         assert out.splitlines()[0] == "index,n,k,ranks,render"
 
+    def test_planted_y_census_defect_is_reported_in_x(self, capsys, monkeypatch):
+        # thm-1-1 compares y_j = x_j + 1/x_j coefficients; one extra y_1 at
+        # k = 2, n = 9 is x_1 + 1/x_1, and the first rank vector it moves is named
+        walk = combinat.marked_durfee_censuses
+
+        def planted(n_max, k, y_basis=False):
+            censuses = walk(n_max, k, y_basis=y_basis)
+            if k == 2:
+                censuses[n_max][(1, 0)] = censuses[n_max].get((1, 0), 0) + 1
+            return censuses
+
+        monkeypatch.setattr(combinat, "marked_durfee_censuses", planted)
+        code, out, _ = run(capsys, "verify", "--suite", "thm-1-1", "--k-max", "2",
+                           "--n-max", "9")
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+            "FAIL suite=thm-1-1 k=2 n=9: ranks=(-1, 0): series 7 != census 8"]
+        assert out.splitlines()[-1] == "summary: 18 cells, 17 passed, 1 failed"
+
     def test_budget_refusal(self, capsys):
         code, _, err = run(capsys, "enumerate", "--object", "ksu", "--n", "200",
                            "--k", "3")
@@ -506,6 +525,10 @@ GOLDEN_OUTPUT = [
      '1e35084510f4f78d97ad6b93be21bf9912d44da33e14d5f75015540738acad3a'),
     ('series --function rk --k 3 --n-max 20',
      '3b787954ed18e0d25ccb7d61053d515af05fde479658a54a67235d9da31d4533'),
+    # recorded from the x-basis comparison before thm-1-1 moved to
+    # y_j = x_j + 1/x_j: a passing run prints the same bytes in either basis
+    ('verify --suite thm-1-1 --k-max 3 --n-max 40 --budget 100000000000000000000',
+     '09ee54a7f553eacae2486db99e8a9309c054161f15ff66faeb03f40a22f51105'),
 ]
 
 
@@ -551,6 +574,7 @@ def test_modules_loaded_on_first_use_in_a_fresh_process(argv):
 @pytest.mark.parametrize("module,name,argv", [
     (genfun, "marked_unimodal_rank_series", "series --function uk --k 2 --n-max 4"),
     (genfun, "mock_theta_psi", "verify --suite psi --n-max 3"),
+    (genfun, "marked_durfee_rank_series", "verify --suite thm-1-1 --n-max 3 --k-max 1"),
     (combinat, "marked_durfee_censuses", "verify --suite thm-1-1 --n-max 3 --k-max 1"),
     (combinat, "even_part_parity_counts", "verify --suite thm-1-5 --n-max 4 --k-max 2"),
     (combinat, "enumerate_marked_unimodal", "enumerate --object ksu --n 4 --k 2"),

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 import series_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qranks import combinat, genfun
 from qranks.series import LaurentCoefficient, TruncatedSeries
@@ -73,6 +75,61 @@ class TestMarkedDurfeeSeries:
             censuses = combinat.marked_durfee_censuses(16, k)
             for n in range(17):
                 assert s.coeffs[n].terms == censuses[n], (k, n)
+
+
+def in_x(terms):
+    """A coefficient in y_j = x_j + 1/x_j rewritten in x, y_j^a built as
+    (x_j + 1/x_j) y_j^(a-1), one variable at a time."""
+    for j in range(len(next(iter(terms), ()))):
+        top = max(exps[j] for exps in terms)
+        powers = [{0: 1}]  # powers[a]: x_j exponent -> coefficient of y_j^a
+        for _ in range(top):
+            power = {}
+            for e, c in powers[-1].items():
+                for shifted in (e - 1, e + 1):
+                    power[shifted] = power.get(shifted, 0) + c
+            powers.append(power)
+        expanded = {}
+        for exps, value in terms.items():
+            for e, c in powers[exps[j]].items():
+                key = exps[:j] + (e,) + exps[j + 1:]
+                expanded[key] = expanded.get(key, 0) + c * value
+        terms = expanded
+    return {exps: value for exps, value in terms.items() if value}
+
+
+class TestSymmetricBasis:
+    """R_k and its census in y_j = x_j + 1/x_j, tied to the x basis."""
+
+    @staticmethod
+    def check(k, n_max):
+        y_series = genfun.marked_durfee_rank_series(k, n_max, y_basis=True)
+        y_censuses = combinat.marked_durfee_censuses(n_max, k, y_basis=True)
+        x_series = genfun.marked_durfee_rank_series(k, n_max)
+        x_censuses = combinat.marked_durfee_censuses(n_max, k)
+        for n in range(n_max + 1):
+            y_census = y_censuses[n]
+            assert in_x(y_series.coeffs[n].terms) == x_series.coeffs[n].terms, (k, n)
+            assert in_x(y_census) == x_censuses[n], (k, n)
+            assert y_census == (y_series.coeffs[n].terms if n else {}), (k, n)
+            assert all(y_census.values()) and list(y_census) == sorted(y_census), (k, n)
+            assert all(min(exps) >= 0 for exps in y_census), (k, n)
+
+    @given(st.integers(1, 4), st.integers(0, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_y_basis_converts_to_x(self, k, n_max):
+        self.check(k, n_max)
+
+    @pytest.mark.parametrize("k,n_max", [(2, 30), (3, 25)])
+    def test_y_basis_converts_to_x_at_size(self, k, n_max):
+        self.check(k, n_max)
+
+    def test_in_x_expands_powers_of_y(self):
+        # y^2 = x^2 + 2 + x^-2, and y_1 y_2 - 3 y_2^0 cancels nothing
+        assert in_x({(2,): 1}) == {(2,): 1, (0,): 2, (-2,): 1}
+        assert in_x({(1, 1): 1, (0, 0): -3}) == {
+            (1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1, (0, 0): -3}
+        assert in_x({(2,): 1, (0,): -2}) == {(2,): 1, (-2,): 1}
 
 
 class TestUnimodalRankSeries:
