@@ -304,24 +304,22 @@ def _cells_thm15(n_max: int, k_max: int):
     # one symmetric table; its first all-zero row serves every larger k
     rows = combinat.marked_unimodal_counts(n_max, k_max, symmetric=True)
     for k in range(2, k_max + 1):
-        raw = genfun.self_conjugate_series(k, n_max, "raw").integer_coefficients()
-        simplified = genfun.self_conjugate_series(
-            k, n_max, "simplified").integer_coefficients()
+        forms = {f"{form} series": genfun.self_conjugate_series(
+            k, n_max, form).integer_coefficients() for form in _FUNCTIONS["scuk"][2]}
         signed = genfun.even_part_parity_series(k, n_max).integer_coefficients()
         for n in range(1, n_max + 1):
             yield {"k": k, "n": n}, _disagreement({
                 "self-conjugate count": rows[min(k, len(rows)) - 1][n],
-                "raw series": raw[n], "simplified series": simplified[n],
+                **{name: c[n] for name, c in forms.items()},
                 "signed parity difference": signed[n]})
 
 
 def _cells_psi(n_max: int):
-    theta = genfun.mock_theta_psi(n_max, "theta").integer_coefficients()
-    poch = genfun.mock_theta_psi(n_max, "pochhammer").integer_coefficients()
-    enum = genfun.mock_theta_psi(n_max, "enumerative").integer_coefficients()
+    forms = {form: genfun.mock_theta_psi(n_max, form).integer_coefficients()
+             for form in _FUNCTIONS["psi"][2]}
     for n in range(1, n_max + 1):
         yield {"n": n}, _disagreement({
-            "theta": theta[n], "pochhammer": poch[n], "enumerative": enum[n],
+            **{form: c[n] for form, c in forms.items()},
             "complete-odd partitions": combinat.count_complete_odd_partitions(n)})
 
 

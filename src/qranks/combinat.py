@@ -463,18 +463,17 @@ def enumerate_self_conjugate_symbols(n: int) -> list[SUSymbol]:
         raise ValueError("n must be >= 1")
     symbols = []
     for peak in range(n, 0, -2):
-        for values in _parts((n - peak) // 2, peak - 1, strict=True):
+        # the rows of one peak share their sum, so none is a prefix of
+        # another and their descending lexicographic order, reversed, ascends
+        for values in reversed([*_parts((n - peak) // 2, peak - 1, strict=True)]):
             row = Partition(values)
             symbols.append(SUSymbol(row, row, peak))
-    symbols.sort(key=lambda s: (-s.peak, s.top.parts, s.bottom.parts))
     return symbols
 
 
 def count_complete_odd_partitions(n: int) -> int:
     """Partitions of n into odd parts where every odd value below the largest
     part also occurs."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return sum(1 for _ in _complete_odd_partitions(n))
 
 
@@ -489,6 +488,8 @@ def _complete_odd_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Yield the parts of every complete odd partition of n in descending
     lexicographic order: largest value first, then the most copies of each
     value first.  The empty tuple covers n = 0."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n == 0:
         yield ()
         return

@@ -152,29 +152,21 @@ class KMarkedSUSymbol(_MarkedSymbol):
         return self.peak + sum(p.value for p in self.top + self.bottom)
 
 
-
-def _ranks_from_rows(top, bottom, k: int) -> RankVector:
-    top_len = [0] * (k + 1)
-    bottom_len = [0] * (k + 1)
-    for p in top:
-        top_len[p.mark] += 1
-    for p in bottom:
-        bottom_len[p.mark] += 1
-    ranks = [top_len[j] - bottom_len[j] - 1 for j in range(1, k)]
-    ranks.append(top_len[k] - bottom_len[k])
-    return tuple(ranks)
-
-
-def durfee_ranks(sym: KMarkedDurfeeSymbol) -> RankVector:
-    """The k rank statistics (mark-j top length minus bottom length, minus 1
-    except for mark k).  The frozen symbol validated its rows when built."""
-    return _ranks_from_rows(sym.top, sym.bottom, sym.k)
+def durfee_ranks(sym: _MarkedSymbol) -> RankVector:
+    """The k rank statistics of a k-marked Durfee or unimodal symbol: the
+    mark-j top length minus bottom length, minus 1 except for mark k.  The
+    frozen symbol validated its rows when built."""
+    k = sym.k
+    lengths = [0] * (k + 1)
+    for p in sym.top:
+        lengths[p.mark] += 1
+    for p in sym.bottom:
+        lengths[p.mark] -= 1
+    return tuple(lengths[j] - (j < k) for j in range(1, k + 1))
 
 
-def unimodal_ranks(sym: KMarkedSUSymbol) -> RankVector:
-    """The k rank statistics of a k-marked unimodal symbol, read from rows
-    the frozen symbol validated when built."""
-    return _ranks_from_rows(sym.top, sym.bottom, sym.k)
+# both families read their ranks off their rows in the same way
+unimodal_ranks = durfee_ranks
 
 
 def _chains(count: int, below: int, room: int, strict: bool):
@@ -232,7 +224,6 @@ def _marked_rows(n: int, k: int, strict: bool):
                 for values in _parts(left, hi, lo, strict):
                     filled = chosen + (tuple((v, mark) for v in values),)
                     yield forced + sum(filled[:k], ()), sum(filled[k:], ()), last
-
 
 
 def enumerate_marked_durfee(n: int, k: int) -> list[KMarkedDurfeeSymbol]:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -537,6 +538,20 @@ def test_verify_and_specialize_golden(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_ci_goldens_are_golden_outputs():
+    # the workflow checks the installed script against digests of its own;
+    # each (argv, digest) pair there must be a row of GOLDEN_OUTPUT
+    workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows"
+                / "tests.yml").read_text()
+    commands = dict((file, argv) for argv, file in re.findall(
+        r'^\s*qranks (.+?) > "\$RUNNER_TEMP/(\S+)"$', workflow, re.M))
+    digests = dict((file, digest) for digest, file in re.findall(
+        r'^\s*echo "([0-9a-f]{64})  \$RUNNER_TEMP/(\S+)"', workflow, re.M))
+    assert commands and commands.keys() == digests.keys()
+    pairs = {(argv, digests[file]) for file, argv in commands.items()}
+    assert pairs - set(GOLDEN_OUTPUT) == set()
 
 
 def _module_run(argv):

@@ -178,6 +178,8 @@ ERRORS = [
                  "n must be >= 1", id="enumerate_self_conjugate_symbols"),
     pytest.param(lambda: count_complete_odd_partitions(-1), ValueError,
                  "n must be >= 0", id="count_complete_odd_partitions"),
+    pytest.param(lambda: enumerate_complete_odd_partitions(-1), ValueError,
+                 "n must be >= 0", id="enumerate_complete_odd_partitions"),
     pytest.param(lambda: count_even_part_parity(-1, 2), ValueError,
                  "n must be >= 0", id="count_even_part_parity"),
     pytest.param(lambda: count_even_part_parity(-1, 1), ValueError,
@@ -665,6 +667,13 @@ class TestSelfConjugate:
             symbols = enumerate_self_conjugate_symbols(n)
             assert len(symbols) == count_self_conjugate(n, 1)
             assert all(s.top == s.bottom and s.size == n for s in symbols)
+
+    def test_enumerator_order(self):
+        # the docstring's order: peak descending, then rows ascending
+        for n in range(1, 31):
+            symbols = enumerate_self_conjugate_symbols(n)
+            assert symbols == sorted(
+                symbols, key=lambda s: (-s.peak, s.top.parts, s.bottom.parts)), n
 
 
 class TestEvenPartParity:

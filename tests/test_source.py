@@ -242,6 +242,10 @@ def test_combinat_resolves_the_marked_names():
     assert enumerate_marked_durfee is marked.enumerate_marked_durfee
     assert all(getattr(combinat, name) is getattr(marked, name) for name in MARKED)
     assert set(MARKED) <= set(dir(combinat))
+    # one rank reader serves both marked families
+    readers = {module.durfee_ranks for module in (qranks, combinat, marked)}
+    assert readers == {module.unimodal_ranks for module in (qranks, combinat, marked)}
+    assert len(readers) == 1
     with pytest.raises(AttributeError,
                        match="^module 'qranks.combinat' has no attribute 'enumerate_marked'$"):
         combinat.enumerate_marked
