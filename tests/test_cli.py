@@ -530,6 +530,23 @@ GOLDEN_OUTPUT = [
     # y_j = x_j + 1/x_j: a passing run prints the same bytes in either basis
     ('verify --suite thm-1-1 --k-max 3 --n-max 40 --budget 100000000000000000000',
      '09ee54a7f553eacae2486db99e8a9309c054161f15ff66faeb03f40a22f51105'),
+    # recorded before the records writer was rebuilt column by column: JSON
+    # listings (null k and ranks at n = 0), CSV series with empty exponent
+    # lists, and the benchmark's build-uk output
+    ('enumerate --object partition --n 0 --format json',
+     'e057d06f3e4253bf6cf139cc9bf404a795ef00638330928c93cc8de6c0112a5f'),
+    ('enumerate --object su-seq --n 9 --format json',
+     '44e5c4362cba0ef0c5a1cdec921b21210f763331cee8365344531801871b971b'),
+    ('enumerate --object ksu --n 12 --k 3 --format json',
+     '25bb7737b419c450c2a9d2987eea750b28f70e3417a56eaf8191520c59ac11fa'),
+    ('enumerate --object kdurfee --n 9 --k 2 --format json',
+     '29dfc3d6d02a7e3b7e26624df12cfddf7f2ea6126691798918c3399658990fb5'),
+    ('series --function partition --n-max 30 --format csv',
+     '24907340b41ecf2a0f0fccf31675f77ae9c660452829686e735d4007d0488d53'),
+    ('series --function rk --k 3 --n-max 14 --format csv',
+     '73b3ebd1421704a04ee8528b7b1ec08523cafe15a37f096c9f42f0102668f5aa'),
+    ('series --function uk --k 3 --n-max 22 --format json',
+     '435cc744f8254d2974408e5e6509c34de15b7b4b2cbe71130a615dacd3eb74ad'),
 ]
 
 
