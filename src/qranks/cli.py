@@ -16,9 +16,9 @@ estimate).  The argparse choices and help strings are derived from them.
 
 Output is deterministic for fixed inputs: records are ordered by q-order
 and then by exponent vector (lexicographic), every JSON record carries a
-schema version, and the CSV column orders are frozen (documented next to
-each writer).  Exit codes: 0 success, 1 verification mismatch, 2 invalid
-invocation or refused budget.
+schema version, and the CSV column orders are frozen (documented at each
+call of ``_write_records``, the one writer).  Exit codes: 0 success, 1
+verification mismatch, 2 invalid invocation or refused budget.
 
 Verification cells are independent of each other, so their results do not
 depend on evaluation order; this implementation runs them sequentially.
@@ -30,6 +30,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain, islice, repeat
 
 from . import combinat, genfun
 from .series import TruncatedSeries
@@ -41,6 +42,7 @@ _VERIFY_SCHEMA = "qranks.verify/1"
 
 _DEFAULT_BUDGET = 10 ** 8
 _ESTIMATOR_CAP = 500  # beyond this the estimate is treated as infinite
+_CHUNK_ROWS = 4096  # records per write; the output is never joined whole
 
 # The lambdas of every table look up the genfun and combinat functions when
 # a row runs, not when the table is built, so wrappers installed on those
@@ -51,16 +53,42 @@ class UsageError(Exception):
     """Invalid parameter combination; reported on stderr with exit code 2."""
 
 
-def _write_records(out, fmt: str, schema: str, columns: tuple[str, ...],
-                   records) -> None:
-    """JSON lines with the schema first, or CSV of the named record fields."""
+def _write_records(out, fmt: str, schema: str, fixed: dict, columns: tuple[str, ...],
+                   rows) -> None:
+    """CSV of the named columns, or JSON lines of the schema, the call's
+    ``fixed`` fields and the columns; ``rows`` are tuples in column order,
+    written ``_CHUNK_ROWS`` at a time."""
     if fmt == "csv":
         out.write(",".join(columns) + "\n")
-    for record in records:
-        if fmt == "json":
-            out.write(json.dumps({"schema": schema, **record}) + "\n")
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        out.write(_lines(fmt, schema, fixed, columns, chunk))
+
+
+def _lines(fmt: str, schema: str, fixed: dict, columns: tuple[str, ...], rows) -> str:
+    """What json.dumps({"schema": schema, **fixed, **row}) writes for each
+    row, or its CSV fields.  str writes the same text as json.dumps for exact
+    ints and lists of exact ints, so only other columns go value by value."""
+    if fmt == "json" and len(rows) == 1:  # one line: no column pass to share
+        return json.dumps({"schema": schema, **fixed, **dict(zip(columns, rows[0]))}) + "\n"
+    if fmt == "json":
+        keys = [", " + json.dumps(c) + ": " for c in columns]
+        keys[0] = json.dumps({"schema": schema, **fixed})[:-1] + keys[0]
+        end = "}\n"
+    else:
+        keys, end = ["", *[","] * (len(columns) - 1)], "\n"
+    parts = []
+    for key, column in zip(keys, zip(*rows)):
+        kinds = {*map(type, column)}
+        if kinds <= {int} or (kinds == {list}
+                              and {*map(type, chain.from_iterable(column))} <= {int}):
+            texts = map(str, column)
+            if fmt == "csv":  # "[1, -2]" as "[1 -2]"
+                texts = map(str.replace, texts, repeat(","), repeat(""))
         else:
-            out.write(",".join(_csv_field(record[c]) for c in columns) + "\n")
+            texts = map(json.dumps if fmt == "json" else _csv_field, column)
+        parts += repeat(key), texts
+    return "".join(chain.from_iterable(zip(*parts, repeat(end))))
 
 
 def _csv_field(value) -> str:
@@ -126,12 +154,12 @@ def _build_series(function: str, k: int | None, n_max: int,
 def cmd_series(args, out) -> int:
     if args.specialize is None:
         s = _build_series(args.function, args.k, args.n_max, args.form)
-        records = ({"function": args.function, "k": args.k, "n": n,
-                    "exponents": list(exps), "value": coeff.terms[exps]}
-                   for n, coeff in enumerate(s.coeffs) for exps in sorted(coeff.terms))
         # CSV columns (frozen): n,exponents,value
-        _write_records(out, args.format, _SERIES_SCHEMA, ("n", "exponents", "value"),
-                       records)
+        rows = ((n, list(exps), coeff.terms[exps])
+                for n, coeff in enumerate(s.coeffs) for exps in sorted(coeff.terms))
+        fixed = {"function": args.function, "k": args.k}
+        _write_records(out, args.format, _SERIES_SCHEMA, fixed, ("n", "exponents", "value"),
+                       rows)
         return 0
     # loaded here only: no other command evaluates at roots of unity
     from .specialize import RootOfUnityVector, specialize_exact, specialize_numeric
@@ -150,18 +178,17 @@ def cmd_series(args, out) -> int:
     s = _build_series(args.function, args.k, args.n_max, args.form)
     # CSV columns (frozen): n,re,im for the exact path,
     # n,re,im,error_bound for the numeric path
-    if all(4 % f.denominator == 0 for f in v.entries):
-        g = specialize_exact(s, v)
+    exact = all(4 % f.denominator == 0 for f in v.entries)
+    if exact:
         columns = ("n", "re", "im")
-        records = ({"function": args.function, "exact": True, "n": n, "re": re, "im": im}
-                   for n, (re, im) in enumerate(g.coeffs))
+        rows = ((n, re, im) for n, (re, im) in enumerate(specialize_exact(s, v).coeffs))
     else:
         c = specialize_numeric(s, v)
         columns = ("n", "re", "im", "error_bound")
-        records = ({"function": args.function, "exact": False, "n": n, "re": z.real,
-                    "im": z.imag, "error_bound": c.error_bounds[n]}
-                   for n, z in enumerate(c.coeffs))
-    _write_records(out, args.format, _SPECIALIZE_SCHEMA, columns, records)
+        rows = ((n, z.real, z.imag, bound)
+                for n, (z, bound) in enumerate(zip(c.coeffs, c.error_bounds)))
+    _write_records(out, args.format, _SPECIALIZE_SCHEMA,
+                   {"function": args.function, "exact": exact}, columns, rows)
     return 0
 
 
@@ -234,11 +261,11 @@ def cmd_enumerate(args, out) -> int:
         raise UsageError(f"--object {obj} requires --k >= 1")
     if not takes_k and k is not None:
         raise UsageError(f"--object {obj} does not take --k")
-    records = ({"object": obj, "index": index, "n": n, "k": k, "ranks": ranks,
-                "render": render} for index, (ranks, render) in enumerate(listing(n, k)))
     # CSV columns (frozen): index,n,k,ranks,render
-    _write_records(out, args.format, _ENUMERATE_SCHEMA,
-                   ("index", "n", "k", "ranks", "render"), records)
+    _write_records(out, args.format, _ENUMERATE_SCHEMA, {"object": obj},
+                   ("index", "n", "k", "ranks", "render"),
+                   ((index, n, k, ranks, render)
+                    for index, (ranks, render) in enumerate(listing(n, k))))
     return 0
 
 
@@ -400,10 +427,8 @@ def cmd_verify(args, out) -> int:
             cells += 1
             failed += detail is not None
             if args.format == "json":
-                record = {"schema": _VERIFY_SCHEMA,
-                          "status": "pass" if detail is None else "fail",
-                          "detail": detail, **cell}
-                out.write(json.dumps(record) + "\n")
+                out.write(_lines("json", _VERIFY_SCHEMA, {}, ("status", "detail", *cell), [
+                    ("pass" if detail is None else "fail", detail, *cell.values())]))
             else:
                 label = " ".join(f"{key}={value}" for key, value in cell.items())
                 if detail is None:
@@ -412,9 +437,8 @@ def cmd_verify(args, out) -> int:
                     out.write(f"FAIL {label}: {detail}\n")
     passed = cells - failed
     if args.format == "json":
-        summary = {"schema": _VERIFY_SCHEMA, "summary": {
-            "cells": cells, "passed": passed, "failed": failed}}
-        out.write(json.dumps(summary) + "\n")
+        out.write(_lines("json", _VERIFY_SCHEMA, {}, ("summary",), [
+            ({"cells": cells, "passed": passed, "failed": failed},)]))
     else:
         out.write(f"summary: {cells} cells, {passed} passed, {failed} failed\n")
     return 0 if failed == 0 else 1

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,8 +10,11 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from marking_oracle import self_conjugate_by_markings
 
 from qranks import cli, combinat, genfun
@@ -569,6 +573,73 @@ def test_ci_goldens_are_golden_outputs():
     assert commands and commands.keys() == digests.keys()
     pairs = {(argv, digests[file]) for file, argv in commands.items()}
     assert pairs - set(GOLDEN_OUTPUT) == set()
+
+
+def _csv_field_per_record(value) -> str:
+    # each CSV field as it was written one record at a time, before the
+    # column-wise writer: the reference for its CSV rows
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return "[" + " ".join(str(v) for v in value) + "]"
+    return str(value)
+
+
+_TEXT = st.one_of(st.text(max_size=6),
+                  st.text('"\\{},:\n\u00e9\u2028\U0001d400', max_size=6))
+_INTS = st.one_of(st.integers(-5, 5), st.integers(min_value=2 ** 64),
+                  st.integers(max_value=-(2 ** 64)), st.integers())
+_SCALARS = st.one_of(_INTS, st.booleans(), st.none(), _TEXT,
+                     st.floats(), st.sampled_from([-0.0, 1e300, math.nan, math.inf]))
+# a column holds exact ints, lists of exact ints (perhaps empty), lists that
+# mix ints with other values, or anything
+_COLUMNS = [_INTS, st.lists(_INTS, max_size=3), st.lists(_SCALARS, max_size=3),
+            st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3))]
+
+
+@st.composite
+def _tables(draw):
+    """(schema, fixed fields, column names, rows) with distinct field names."""
+    names = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True)
+                 .filter(lambda ns: "schema" not in ns))
+    fixed = draw(st.dictionaries(_TEXT.filter(lambda k: k not in names and k != "schema"),
+                                 _SCALARS, max_size=2))
+    values = [draw(st.sampled_from(_COLUMNS)) for _ in names]
+    return draw(_TEXT), fixed, tuple(names), draw(st.lists(st.tuples(*values), max_size=9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+@example(("s", {"exact": False}, ("n", "flag", "v"),
+          [(0, True, -0.0), (2 ** 70, False, math.nan)]))
+@example(("s", {"k": None}, ("ranks", "render"), [([], "(empty)"), ([-1, 2], '"\\\u00e9')]))
+@example(("s", {}, ("ranks",), [([1, True],), ([None, 2.5],)]))
+def test_writer_matches_json_dumps_and_csv_fields(table):
+    # every JSON line is json.dumps of the whole record and every CSV row the
+    # per-record fields, whichever chunk a row falls in
+    schema, fixed, columns, rows = table
+    written = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_CHUNK_ROWS", 4)
+        for fmt in ("json", "csv"):
+            out = io.StringIO()
+            cli._write_records(out, fmt, schema, fixed, columns, iter(rows))
+            written[fmt] = out.getvalue()
+    assert written["json"] == "".join(
+        json.dumps({"schema": schema, **fixed, **dict(zip(columns, row))}) + "\n"
+        for row in rows)
+    assert written["csv"] == "".join(
+        ",".join(map(_csv_field_per_record, line)) + "\n" for line in [columns, *rows])
+
+
+def test_writer_spells_bools_as_json_and_writes_in_chunks(monkeypatch):
+    writes = []
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
+    cli._write_records(SimpleNamespace(write=writes.append), "json", "s", {}, ("b", "n"),
+                       [(True, 1), (False, 0), (True, 1)])
+    assert writes == ['{"schema": "s", "b": true, "n": 1}\n'
+                      '{"schema": "s", "b": false, "n": 0}\n',
+                      '{"schema": "s", "b": true, "n": 1}\n']
 
 
 def _module_run(argv):

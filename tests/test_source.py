@@ -113,6 +113,28 @@ def test_one_loop_over_the_powers_of_q():
     assert callers == ["_convolve"] and sum(map(refers, ast.walk(tree))) == 1, callers
 
 
+def test_one_records_writer():
+    """Every record `cli` prints as JSON is encoded by `_lines`, the only
+    function that names `json.dumps`; `series` and `enumerate` reach it
+    through `_write_records`, and `verify` calls it for each cell."""
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+    def uses(node, name):
+        return sum(isinstance(n, ast.Name) and n.id == name
+                   or isinstance(n, ast.Attribute) and n.attr == name
+                   for n in ast.walk(node))
+
+    def users(name):
+        return {func.name for func in functions if uses(func, name)}
+
+    assert users("dumps") == {"_lines"} and uses(tree, "dumps") == uses(
+        next(f for f in functions if f.name == "_lines"), "dumps")
+    assert users("_lines") == {"_write_records", "cmd_verify"}
+    assert users("_write_records") == {"cmd_series", "cmd_enumerate"}
+
+
 def test_nested_sum_steps_name_no_series():
     """The Horner steps that `genfun._nested_sum` calls work on accumulators
     in place and read no accumulator layout: no step body names
