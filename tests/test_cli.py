@@ -551,6 +551,15 @@ GOLDEN_OUTPUT = [
      '73b3ebd1421704a04ee8528b7b1ec08523cafe15a37f096c9f42f0102668f5aa'),
     ('series --function uk --k 3 --n-max 22 --format json',
      '435cc744f8254d2974408e5e6509c34de15b7b4b2cbe71130a615dacd3eb74ad'),
+    # recorded before the parts enumerator, the Durfee conjugates and the
+    # unimodal listing were rewritten: the bijections suite at its defaults
+    # and the plain listings' order at n = 20
+    ('verify --suite bijections --format json',
+     'a53140dd96114492c5e45ceb5118176f68e298dc4f828b6c57319e71a83ae0e2'),
+    ('enumerate --object partition --n 20 --format csv',
+     '1cf527c524adc4473fa440b0122de7fd294b6c624f70eeb41aa237d4861b1e59'),
+    ('enumerate --object su-seq --n 20 --format csv',
+     'fc899bec416db71787619856306d8b4df231defaa3fc88c21b1bc5ba05254a8d'),
 ]
 
 

@@ -190,6 +190,43 @@ ERRORS = [
                  "defined for k >= 2 only", id="even_part_parity_counts-k-first"),
     pytest.param(lambda: odd_parts_to_self_conjugate(Partition()), ValueError,
                  "empty partition has no symbol", id="odd_parts_to_self_conjugate"),
+    # inputs that break two rules at once: the rule reported first
+    pytest.param(lambda: Partition((3, 5, 0)), ValueError,
+                 "parts not weakly decreasing: (3, 5, 0)", id="Partition-order-before-sign"),
+    pytest.param(lambda: Partition((0, 2)), ValueError,
+                 "nonpositive part 0", id="Partition-sign-before-order"),
+    pytest.param(lambda: Partition((0, 2.5)), ValueError,
+                 "not an integer: 2.5", id="Partition-integers-before-sign"),
+    pytest.param(lambda: SUSequence((0, 2, 1)), ValueError,
+                 "parts must be positive", id="SUSequence-sign-before-shape"),
+    pytest.param(lambda: SUSequence((0, 2.5)), ValueError,
+                 "not an integer: 2.5", id="SUSequence-integers-before-sign"),
+    pytest.param(lambda: SUSequence((1, 1, 3, 2, 2)), ValueError,
+                 "not strictly increasing before the peak: (1, 1, 3, 2, 2)",
+                 id="SUSequence-left-before-right"),
+    pytest.param(lambda: combinat.DurfeeSymbol(Partition((3,)), Partition((4,)), 0),
+                 ValueError, "side must be >= 1", id="DurfeeSymbol-side-before-parts"),
+    pytest.param(lambda: combinat.DurfeeSymbol(Partition((3,)), Partition((4,)), 2),
+                 ValueError, "part 3 exceeds side 2", id="DurfeeSymbol-top-before-bottom"),
+    pytest.param(lambda: SUSymbol(Partition((2, 2)), Partition((5,)), 3), ValueError,
+                 "row not strictly decreasing: (2, 2)", id="SUSymbol-top-before-bottom"),
+    pytest.param(lambda: SUSymbol(Partition((3, 3)), Partition(), 3), ValueError,
+                 "row part 3 not below peak 3", id="SUSymbol-peak-before-repeat"),
+    pytest.param(lambda: SUSymbol(Partition((2, 2)), Partition(), 0), ValueError,
+                 "peak must be >= 1", id="SUSymbol-peak-before-rows"),
+    pytest.param(lambda: KMarkedDurfeeSymbol(((0, 3),), (), 2, 2), ValueError,
+                 "invalid 2-marked Durfee symbol: nonpositive part value 0",
+                 id="marked-value-before-mark"),
+    pytest.param(lambda: KMarkedDurfeeSymbol(((3, 1),), (), 0, 1), ValueError,
+                 "invalid 1-marked Durfee symbol: side must be >= 1",
+                 id="marked-side-before-rows"),
+    pytest.param(lambda: KMarkedSUSymbol(((2.5, 1),), (), 0.5, 1), ValueError,
+                 "not an integer: 2.5", id="marked-rows-read-before-peak"),
+    pytest.param(lambda: KMarkedSUSymbol((), (), 0.5, 2.5), ValueError,
+                 "not an integer: 0.5", id="marked-peak-read-before-k"),
+    pytest.param(lambda: KMarkedSUSymbol(((1, 2),), ((5, 1),), 6, 2), ValueError,
+                 "invalid 2-marked unimodal symbol: mark 1 missing from the top row",
+                 id="marked-top-marks-before-bottom-intervals"),
 ]
 
 
