@@ -12,9 +12,12 @@ canonical order so they can serve as oracles for the generating functions in
 :mod:`qranks.genfun`.  Everything is exact integer combinatorics.
 
 One parts enumerator, :func:`_parts`, lists every row and partition in one
-mode (parts between two bounds, weak or strict); the marked listings of
-:mod:`qranks.marked` fill their pools with it too.  No census or count
-builds a marked symbol: two walks up the part values,
+mode (parts between two bounds, weak or strict) by one walk over an
+explicit prefix; the marked listings of :mod:`qranks.marked` fill their
+pools with it too.  The plain bijections cost about their parts: the
+Durfee maps read each row as a conjugate, one square row at a time, and
+the unimodal listing lists each peak's rows once and sorts only its tops.
+No census or count builds a marked symbol: two walks up the part values,
 :func:`marked_durfee_censuses` and :func:`marked_unimodal_censuses`, count
 them by size and rank vector (an open Durfee mark only at the sizes that
 leave room for its forced parts; the Durfee walk also by exponent vector
@@ -39,10 +42,11 @@ from ._record import Record
 RankVector = tuple[int, ...]
 
 
-def _integers(*values) -> tuple[int, ...]:
-    """``values`` as ints, read by :func:`operator.index`: the one integer
-    check of every part, mark, side, peak and k.  Anything it refuses (a
-    float, a string) is a ValueError that names the value."""
+def _integers(values) -> tuple[int, ...]:
+    """The sequence ``values`` as a tuple of ints, read by
+    :func:`operator.index`: the one integer check of every part, mark, side,
+    peak and k.  Anything it refuses (a float, a string) is a ValueError
+    that names the value, found by reading ``values`` a second time."""
     try:
         return tuple(map(operator.index, values))
     except TypeError:
@@ -63,7 +67,7 @@ class Partition(Record):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[int, ...] = ()):
-        parts = _integers(*parts)
+        parts = _integers(parts)
         prev = None
         for p in parts:
             if p < 1:
@@ -87,13 +91,28 @@ class Partition(Record):
 def _parts(n: int, largest: int, smallest: int = 1,
            strict: bool = False) -> Iterator[tuple[int, ...]]:
     """Weakly (with ``strict``, strictly) decreasing tuples of parts in
-    [smallest, largest] summing to n, in descending lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), smallest - 1, -1):
-        for tail in _parts(n - first, first - strict, smallest, strict):
-            yield (first,) + tail
+    [smallest, largest] summing to n, in descending lexicographic order.
+
+    One walk over an explicit prefix: it fills the prefix greedily with the
+    largest parts that fit, yields it when it sums to n, then takes parts
+    off its end until one is above ``smallest`` and lowers that one by 1.
+    """
+    prefix, left, top = [], n, min(n, largest)  # top: the next part's bound
+    while True:
+        while left and top >= smallest:
+            prefix.append(top)
+            left -= top
+            top = min(left, top - strict)
+        if not left:
+            yield tuple(prefix)
+        while prefix:
+            last = prefix.pop()
+            left += last
+            if last > smallest:
+                top = last - 1
+                break
+        else:
+            return
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -130,7 +149,7 @@ class DurfeeSymbol(Record):
     __slots__ = ("top", "bottom", "side")
 
     def __init__(self, top: Partition, bottom: Partition, side: int):
-        side, = _integers(side)
+        side, = _integers((side,))
         if side < 1:
             raise ValueError("side must be >= 1")
         for row in (top, bottom):
@@ -154,18 +173,16 @@ def durfee_decompose(p: Partition) -> DurfeeSymbol:
     if not p.parts:
         raise ValueError("no Durfee square in the empty partition")
     parts = p.parts
-    side = 0
-    for i, v in enumerate(parts, start=1):
-        if v >= i:
-            side = i
-        else:
-            break
-    top = tuple(
-        sum(1 for i in range(side) if parts[i] >= c)
-        for c in range(side + 1, parts[0] + 1)
-    )
-    bottom = parts[side:]
-    return DurfeeSymbol(Partition(top), Partition(bottom), side)
+    # parts[i - 1] - i falls as i grows, so the i with parts[i - 1] >= i
+    # are 1..side
+    side = sum(map(operator.ge, parts, range(1, len(parts) + 1)))
+    # the top row is the conjugate of the overhang parts[:side] - side:
+    # square row i (side down to 1) ends the columns of height i
+    ends = parts[:side] + (side,)
+    top = []
+    for i in range(side, 0, -1):
+        top += [i] * (ends[i - 1] - ends[i])
+    return DurfeeSymbol(Partition(tuple(top)), Partition(parts[side:]), side)
 
 
 def durfee_recompose(sym: DurfeeSymbol) -> Partition:
@@ -174,8 +191,15 @@ def durfee_recompose(sym: DurfeeSymbol) -> Partition:
 
 
 def _recomposed(top, bottom, side: int) -> tuple[int, ...]:
-    rows = [side + sum(1 for a in top if a >= i) for i in range(1, side + 1)]
-    return tuple(rows) + tuple(bottom)
+    """The rows of the partition with Durfee side ``side``, columns ``top``
+    (weakly decreasing, none above side) right of the square and rows
+    ``bottom`` below it: square row i is side plus the top parts >= i."""
+    rows, count = [], len(top)
+    for i in range(1, side + 1):
+        while count and top[count - 1] < i:
+            count -= 1
+        rows.append(side + count)
+    return (*rows, *bottom)
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +214,7 @@ class SUSequence(Record):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]):
-        parts = _integers(*parts)
+        parts = _integers(parts)
         if not parts:
             raise ValueError("sequence must be nonempty")
         if any(v < 1 for v in parts):
@@ -225,7 +249,7 @@ class SUSymbol(Record):
     __slots__ = ("top", "bottom", "peak")
 
     def __init__(self, top: Partition, bottom: Partition, peak: int):
-        peak, = _integers(peak)
+        peak, = _integers((peak,))
         if peak < 1:
             raise ValueError("peak must be >= 1")
         for row in (top, bottom):
@@ -267,13 +291,17 @@ def enumerate_su_sequences(n: int) -> Iterator[SUSequence]:
     (peak descending, then top and bottom rows ascending)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    # canonical order: peak descending, then rows ascending lexicographically
-    rows = sorted((-peak, top, bottom) for peak in range(1, n + 1)
-                  for top_size in range(n - peak + 1)
-                  for top in _parts(top_size, peak - 1, strict=True)
-                  for bottom in _parts(n - peak - top_size, peak - 1, strict=True))
-    for minus_peak, top, bottom in rows:
-        yield SUSequence(bottom[::-1] + (-minus_peak,) + top)
+    for peak in range(n, 0, -1):
+        rest = n - peak
+        # rows[s]: the strict rows of size s below the peak; the rows of one
+        # size share their sum, so none is a prefix of another and their
+        # descending lexicographic order, reversed, ascends
+        rows = [[*_parts(s, peak - 1, strict=True)][::-1] for s in range(rest + 1)]
+        tops = sorted((top, s) for s in range(rest + 1) if rows[rest - s]
+                      for top in rows[s])
+        for top, s in tops:
+            for bottom in rows[rest - s]:
+                yield SUSequence(bottom[::-1] + (peak,) + top)
 
 
 def su_rank(seq: SUSequence) -> int:

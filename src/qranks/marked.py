@@ -23,7 +23,7 @@ class MarkedPart(NamedTuple):
 
 
 def _canonical_row(row) -> tuple[MarkedPart, ...]:
-    return tuple(sorted((MarkedPart(*_integers(v, m)) for v, m in row), reverse=True))
+    return tuple(sorted((MarkedPart(*_integers((v, m))) for v, m in row), reverse=True))
 
 
 def _render_marked_row(row: tuple[MarkedPart, ...]) -> str:
@@ -97,7 +97,7 @@ class _MarkedSymbol(Record):
 
     def _build(self, top, bottom, last: int, k: int) -> None:
         top, bottom = _canonical_row(top), _canonical_row(bottom)
-        last, k = _integers(last, k)
+        last, k = _integers((last, k))
         reason = _marked_violation(top, bottom, last, k, strict=self._strict)
         if reason:
             raise ValueError(f"invalid {k}-marked {self._noun} symbol: {reason}")

@@ -5,6 +5,12 @@ it, new text, the suite that must report a FAIL cell at its defaults,
 what the defect breaks).  ``tests/test_mutants.py`` applies each row to a
 copy of the package.  A row whose old text no longer occurs once is stale:
 update it to the code it means to break.
+
+Each defect gives a wrong but valid object, so that ``verify`` prints a
+FAIL line rather than raising.  ``verify --suite bijections`` checks round
+trips, not completeness: an enumerator that drops objects passes it.
+``TestParts`` in ``tests/test_combinat.py`` and the listing goldens in
+``tests/test_cli.py`` are what catch that.
 """
 
 MUTANTS = [
@@ -33,6 +39,17 @@ MUTANTS = [
      "thm-1-5", "raw scuk shifts its doubled part by 2b + 2"),
     ("combinat.py", "((2 * peak, True),)", "((2 * peak + 2, True),)",
      "thm-1-5", "the symmetric table adds the value 2p + 2"),
+    ("combinat.py", "for i in range(1, side + 1):", "for i in range(1, side + 2):",
+     "bijections", "recomposing appends one more row of length side"),
+    ("combinat.py", "return SUSymbol(Partition(top), Partition(bottom), seq.parts[i])",
+     "return SUSymbol(Partition(bottom), Partition(top), seq.parts[i])",
+     "bijections", "the unimodal symbol swaps its two rows"),
+    ("combinat.py", "return SUSymbol(row, row, heights[0])",
+     "return SUSymbol(row, row, heights[0] + 1)",
+     "bijections", "the odd parts' symbol has one more at its peak"),
+    ("combinat.py", "range((remaining - j * j) // value, 0, -1)",
+     "range((remaining - j * j) // value, 1, -1)",
+     "psi", "no complete odd partition has one copy of a value above 1"),
 ]
 
 # mutants that change no output, each expected to pass its suite

@@ -288,6 +288,32 @@ class TestDurfee:
         p = Partition(tuple(sorted(values, reverse=True)))
         assert durfee_recompose(durfee_decompose(p)) == p
 
+    def test_matches_column_counts_to_24(self):
+        # the conjugates read one square row at a time against a count of
+        # each column and of each square row on its own
+        def by_column_counts(parts):
+            side = 0
+            for i, v in enumerate(parts, start=1):
+                if v >= i:
+                    side = i
+                else:
+                    break
+            top = tuple(sum(1 for i in range(side) if parts[i] >= c)
+                        for c in range(side + 1, parts[0] + 1))
+            return top, parts[side:], side
+
+        def rows_by_counts(top, bottom, side):
+            return tuple(side + sum(1 for a in top if a >= i)
+                         for i in range(1, side + 1)) + tuple(bottom)
+
+        for n in range(1, 25):
+            for p in enumerate_partitions(n):
+                sym = durfee_decompose(p)
+                expected = by_column_counts(p.parts)
+                assert (sym.top.parts, sym.bottom.parts, sym.side) == expected, p
+                assert combinat._recomposed(*expected) == rows_by_counts(*expected), p
+                assert combinat._recomposed(*expected) == p.parts
+
 
 class TestDysonRank:
     def test_single_part(self):
@@ -331,6 +357,19 @@ class TestUnimodalSequences:
         for n in range(1, 21):
             census = rank_census_unimodal(n)
             assert sum(census.values()) == len(list(enumerate_su_sequences(n)))
+
+    def test_listing_matches_sorted_triples_to_24(self):
+        # the listing of each peak's rows against one sort of every
+        # (peak, top, bottom) triple, order included
+        for n in range(1, 25):
+            triples = sorted(
+                (-peak, top, bottom) for peak in range(1, n + 1)
+                for top_size in range(n - peak + 1)
+                for top in combinat._parts(top_size, peak - 1, strict=True)
+                for bottom in combinat._parts(n - peak - top_size, peak - 1, strict=True))
+            expected = [bottom[::-1] + (-minus_peak,) + top
+                        for minus_peak, top, bottom in triples]
+            assert [s.parts for s in enumerate_su_sequences(n)] == expected, n
 
     def test_invalid_sequences_rejected(self):
         for bad in ((2, 2), (1, 3, 3, 1), (3, 1, 2), ()):
