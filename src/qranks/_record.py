@@ -2,11 +2,12 @@
 
 A record's fields are its class's ``__slots__``, in order, and its own
 ``__init__`` checks them and stores each with ``object.__setattr__``.  A
-record equals only a record of its own class with equal fields, hashes as
-the tuple of its fields, names every field in its repr, refuses assignment
-and deletion, and pickles and copies by calling its constructor again with
-its fields.  This module imports nothing, so both sides of every verified
-identity may build on it without sharing any code that computes.
+record equals only a record of its own class with equal fields (compared
+in order, with no tuple built), hashes as the tuple of its fields, names
+every field in its repr, refuses assignment and deletion, and pickles and
+copies by calling its constructor again with its fields.  This module
+imports nothing, so both sides of every verified identity may build on it
+without sharing any code that computes.
 """
 
 
@@ -21,7 +22,11 @@ class Record:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        for name in self.__slots__:  # in order, stopping at the first unequal field
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine is not theirs and not mine == theirs:
+                return False
+        return True
 
     def __hash__(self) -> int:
         return hash(self._values())

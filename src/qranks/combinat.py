@@ -46,7 +46,9 @@ def _integers(values) -> tuple[int, ...]:
     """The sequence ``values`` as a tuple of ints, read by
     :func:`operator.index`: the one integer check of every part, mark, side,
     peak and k.  Anything it refuses (a float, a string) is a ValueError
-    that names the value, found by reading ``values`` a second time."""
+    that names the value, found by reading ``values`` (a tuple) twice."""
+    if type(values) is not tuple:
+        values = tuple(values)
     try:
         return tuple(map(operator.index, values))
     except TypeError:
@@ -152,10 +154,11 @@ class DurfeeSymbol(Record):
         side, = _integers((side,))
         if side < 1:
             raise ValueError("side must be >= 1")
-        for row in (top, bottom):
-            for v in row.parts:
-                if v > side:
-                    raise ValueError(f"part {v} exceeds side {side}")
+        if not type(top) is type(bottom) is Partition:
+            raise ValueError(f"rows must be Partitions: {top!r}, {bottom!r}")
+        for row in (top, bottom):  # a Partition's first part is its largest
+            if row.parts and row.parts[0] > side:
+                raise ValueError(f"part {row.parts[0]} exceeds side {side}")
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "bottom", bottom)
         object.__setattr__(self, "side", side)
@@ -217,7 +220,7 @@ class SUSequence(Record):
         parts = _integers(parts)
         if not parts:
             raise ValueError("sequence must be nonempty")
-        if any(v < 1 for v in parts):
+        if min(parts) < 1:
             raise ValueError("parts must be positive")
         peak = parts.index(max(parts))
         for i in range(peak):
@@ -252,13 +255,14 @@ class SUSymbol(Record):
         peak, = _integers((peak,))
         if peak < 1:
             raise ValueError("peak must be >= 1")
-        for row in (top, bottom):
-            prev = None
+        if not type(top) is type(bottom) is Partition:
+            raise ValueError(f"rows must be Partitions: {top!r}, {bottom!r}")
+        for row in (top, bottom):  # the first part, a Partition's largest, meets peak
+            prev = peak
             for v in row.parts:
-                if v >= peak:
-                    raise ValueError(f"row part {v} not below peak {peak}")
-                if prev is not None and v >= prev:
-                    raise ValueError(f"row not strictly decreasing: {row.parts}")
+                if v >= prev:
+                    raise ValueError(f"row part {v} not below peak {peak}" if prev == peak
+                                     else f"row not strictly decreasing: {row.parts}")
                 prev = v
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "bottom", bottom)
@@ -274,16 +278,15 @@ class SUSymbol(Record):
 
 def su_symbol(seq: SUSequence) -> SUSymbol:
     """Record the parts after the peak (top row) and before it (bottom row)."""
-    i = seq.peak_index
-    top = seq.parts[i + 1:]
-    bottom = tuple(reversed(seq.parts[:i]))
-    return SUSymbol(Partition(top), Partition(bottom), seq.parts[i])
+    parts = seq.parts
+    peak = max(parts)
+    i = parts.index(peak)
+    return SUSymbol(Partition(parts[i + 1:]), Partition(parts[:i][::-1]), peak)
 
 
 def su_sequence(sym: SUSymbol) -> SUSequence:
     """Inverse of :func:`su_symbol`: bottom ascending, peak, top descending."""
-    parts = tuple(reversed(sym.bottom.parts)) + (sym.peak,) + sym.top.parts
-    return SUSequence(parts)
+    return SUSequence(sym.bottom.parts[::-1] + (sym.peak,) + sym.top.parts)
 
 
 def enumerate_su_sequences(n: int) -> Iterator[SUSequence]:

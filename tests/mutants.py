@@ -41,8 +41,8 @@ MUTANTS = [
      "thm-1-5", "the symmetric table adds the value 2p + 2"),
     ("combinat.py", "for i in range(1, side + 1):", "for i in range(1, side + 2):",
      "bijections", "recomposing appends one more row of length side"),
-    ("combinat.py", "return SUSymbol(Partition(top), Partition(bottom), seq.parts[i])",
-     "return SUSymbol(Partition(bottom), Partition(top), seq.parts[i])",
+    ("combinat.py", "return SUSymbol(Partition(parts[i + 1:]), Partition(parts[:i][::-1]), peak)",
+     "return SUSymbol(Partition(parts[:i][::-1]), Partition(parts[i + 1:]), peak)",
      "bijections", "the unimodal symbol swaps its two rows"),
     ("combinat.py", "return SUSymbol(row, row, heights[0])",
      "return SUSymbol(row, row, heights[0] + 1)",
@@ -50,6 +50,8 @@ MUTANTS = [
     ("combinat.py", "range((remaining - j * j) // value, 0, -1)",
      "range((remaining - j * j) // value, 1, -1)",
      "psi", "no complete odd partition has one copy of a value above 1"),
+    ("_record.py", "if mine is not theirs and not mine == theirs:", "if mine is not theirs:",
+     "bijections", "records whose equal fields are distinct objects compare unequal"),
 ]
 
 # mutants that change no output, each expected to pass its suite

@@ -227,6 +227,33 @@ ERRORS = [
     pytest.param(lambda: KMarkedSUSymbol(((1, 2),), ((5, 1),), 6, 2), ValueError,
                  "invalid 2-marked unimodal symbol: mark 1 missing from the top row",
                  id="marked-top-marks-before-bottom-intervals"),
+    # the bottom row meets the same checks as the top row
+    pytest.param(lambda: combinat.DurfeeSymbol(Partition((1,)), Partition((3,)), 2),
+                 ValueError, "part 3 exceeds side 2", id="DurfeeSymbol-bottom-beyond-side"),
+    pytest.param(lambda: SUSymbol(Partition((1,)), Partition((3, 1)), 3), ValueError,
+                 "row part 3 not below peak 3", id="SUSymbol-bottom-at-peak"),
+    pytest.param(lambda: SUSymbol(Partition((2,)), Partition((4, 1, 1)), 5), ValueError,
+                 "row not strictly decreasing: (4, 1, 1)", id="SUSymbol-bottom-repeated-part"),
+    pytest.param(lambda: SUSequence((1, 2, 0)), ValueError,
+                 "parts must be positive", id="SUSequence-nonpositive-after-peak"),
+    # a symbol row must be a Partition, checked after the side or the peak
+    pytest.param(lambda: combinat.DurfeeSymbol(SUSequence((1, 2, 1)), Partition(), 2),
+                 ValueError, "rows must be Partitions: SUSequence(parts=(1, 2, 1)), "
+                 "Partition(parts=())", id="DurfeeSymbol-row-not-a-partition"),
+    pytest.param(lambda: SUSymbol(Partition(), (1,), 3), ValueError,
+                 "rows must be Partitions: Partition(parts=()), (1,)",
+                 id="SUSymbol-row-not-a-partition"),
+    pytest.param(lambda: SUSymbol(SUSequence((1,)), Partition(), 0), ValueError,
+                 "peak must be >= 1", id="SUSymbol-peak-before-row-type"),
+    pytest.param(lambda: combinat.DurfeeSymbol((5,), Partition(), 0.5), ValueError,
+                 "not an integer: 0.5", id="DurfeeSymbol-side-read-before-row-type"),
+    # one-shot iterators name the value that is not an integer, as tuples do
+    pytest.param(lambda: Partition(iter([3, "a"])), ValueError,
+                 "not an integer: 'a'", id="Partition-iterator"),
+    pytest.param(lambda: SUSequence(iter([1, 2.5, 1])), ValueError,
+                 "not an integer: 2.5", id="SUSequence-iterator"),
+    pytest.param(lambda: KMarkedSUSymbol(iter([iter((2, "a"))]), (), 3, 1), ValueError,
+                 "not an integer: 'a'", id="marked-row-iterator"),
 ]
 
 

@@ -8,14 +8,18 @@ records is pinned in the ``ERRORS`` tables of the module tests.
 """
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qranks import (ComplexSeries, DurfeeSymbol, FactorSpec, GaussianSeries,
                     KMarkedDurfeeSymbol, KMarkedSUSymbol, LaurentCoefficient, MarkedPart,
                     Partition, RootOfUnityVector, SUSequence, SUSymbol, TruncatedSeries)
+from qranks._record import Record
 
 # (record, its fields in order, its repr)
 RECORDS = [
@@ -144,3 +148,65 @@ def test_pickle_copy_and_deepcopy_round_trip(value):
     for other in copies:
         assert type(other) is type(value)
         assert other == value and hash(other) == hash(value) and repr(other) == repr(value)
+
+
+# small values of every record type, from few enough choices that two draws
+# are often equal field by field; nan is equal only to itself
+_FLOATS = st.sampled_from([0.0, -0.0, 1.5, math.nan])
+_ROWS = st.sampled_from([(), (1,), (2,), (2, 1)])
+_LAURENT = st.builds(LaurentCoefficient, st.just(1), st.dictionaries(
+    st.tuples(st.integers(-1, 1)), st.integers(-1, 1), max_size=2))
+_RECORDS = st.one_of(
+    _ROWS.map(Partition),
+    st.sampled_from([(1,), (2,), (1, 2), (2, 1)]).map(SUSequence),
+    st.builds(DurfeeSymbol, _ROWS.map(Partition), _ROWS.map(Partition), st.integers(2, 3)),
+    st.builds(SUSymbol, _ROWS.map(Partition), _ROWS.map(Partition), st.integers(3, 4)),
+    st.builds(KMarkedDurfeeSymbol, st.sampled_from([((2, 1),), ((1, 1), (1, 1))]),
+              st.sampled_from([(), ((1, 1),)]), st.just(2), st.just(1)),
+    st.builds(KMarkedSUSymbol, st.sampled_from([(), ((1, 1),)]), st.just(()),
+              st.integers(2, 3), st.just(1)),
+    st.builds(FactorSpec, st.sampled_from([1, -1]), st.sampled_from([None, 1]),
+              st.sampled_from([1, -1]), st.integers(0, 1), st.integers(1, 2)),
+    st.builds(RootOfUnityVector, st.lists(st.sampled_from(["0", "1/2"]), max_size=2)),
+    st.builds(GaussianSeries, st.just(0), st.tuples(st.tuples(st.integers(0, 1),
+                                                              st.integers(0, 1)))),
+    st.builds(ComplexSeries, st.just(0), st.tuples(st.builds(complex, _FLOATS, _FLOATS)),
+              st.tuples(_FLOATS)),
+    _LAURENT,
+    st.builds(TruncatedSeries, st.just(1), st.just(1), st.lists(_LAURENT, min_size=2,
+                                                                 max_size=2)),
+)
+
+
+def _plain(value):
+    """``value`` with every record in it, nested ones too, replaced by its
+    class and its fields: what a record comparison must agree with."""
+    if isinstance(value, Record):
+        return type(value), tuple(map(_plain, value._values()))
+    if type(value) in (tuple, list):
+        return type(value)(map(_plain, value))
+    return value
+
+
+@st.composite
+def _pairs(draw):
+    a = draw(_RECORDS)
+    b = draw(st.sampled_from([
+        lambda: a,  # the same object
+        lambda: type(a)(*a._values()),  # another record sharing a's field objects
+        lambda: copy.deepcopy(a),  # equal fields, none of them shared
+        lambda: draw(_RECORDS),  # anything, often of another class
+    ]))()
+    return a, b
+
+
+@given(_pairs())
+def test_equality_agrees_with_the_field_tuples(pair):
+    a, b = pair
+    if type(a) is not type(b):
+        assert a.__eq__(b) is NotImplemented and b.__eq__(a) is NotImplemented
+        assert a != b and not a == b
+        return
+    equal = a._values() == b._values()
+    assert equal is (_plain(a) == _plain(b))
+    assert (a == b) is equal and (b == a) is equal and (a != b) is not equal
