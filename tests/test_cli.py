@@ -560,6 +560,13 @@ GOLDEN_OUTPUT = [
      '1cf527c524adc4473fa440b0122de7fd294b6c624f70eeb41aa237d4861b1e59'),
     ('enumerate --object su-seq --n 20 --format csv',
      'fc899bec416db71787619856306d8b4df231defaa3fc88c21b1bc5ba05254a8d'),
+    # the benchmark's census-durfee and verify-all commands, as in
+    # bench/reference.json, recorded before the x censuses became the y walk
+    # rewritten in x
+    ('verify --suite thm-1-1 --k-max 2 --n-max 17 --format json',
+     '45343250e05f6e022aee0aff3c0b2338d4cf02c2177a46efa82498bc00787dfe'),
+    ('verify --suite all --n-max 14 --format json',
+     '32c4583111f6557e49fef302dbcd4654c8c20643b0076dc08dab9134b03d9924'),
 ]
 
 

@@ -728,6 +728,23 @@ class TestValueWalks:
             assert censuses[n] == _tally(durfee_ranks, listed), n
         assert sum(censuses[16].values()) == 406
 
+    # recorded from the walk that absorbed each part value in x by two +-1
+    # passes, before it walked in y_j = x_j + 1/x_j alone and rewrote in x:
+    # the values and key order of every x census up to n_max, and of one size
+    @pytest.mark.parametrize("n_max, k, digest", [
+        (20, 3, "85d450870e460c6b08dd09e19942105194e0a31ffa8efa88528e53db448ac87a"),
+        (16, 14, "712b2665efb476f15d9cd2d40d27b274f4ccdeb8b7dc255eb99f6f3dc73812c1"),
+        (12, 4, "e269fec70f8e44e6b7974e4245e13bc8b2897cef141851001ab6d6f5b3802480")])
+    def test_x_censuses_keep_their_digest(self, n_max, k, digest):
+        censuses = combinat.marked_durfee_censuses(n_max, k)
+        items = [list(census.items()) for census in censuses]
+        assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
+
+    def test_x_census_of_one_size_keeps_its_digest(self):
+        items = list(rank_census_marked_durfee(18, 4).items())
+        assert hashlib.sha256(repr(items).encode()).hexdigest() == (
+            "6b940b9f00777fd207ddbe5eed8183e53ed32c7234ae02787305d973679a0a52")
+
 
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_marked_unimodal_counts_checks_arguments_like_the_walks(symmetric):
