@@ -273,27 +273,13 @@ def cmd_enumerate(args, out) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-def _x_form(terms: dict) -> dict:
-    """A coefficient in y_j = x_j + 1/x_j rewritten in x, one variable at a
-    time, by y_j^a = sum_i C(a, i) x_j^(a - 2i); zero sums dropped."""
-    for j in range(len(next(iter(terms), ()))):
-        expanded: dict = {}
-        for exps, value in terms.items():
-            a = exps[j]
-            for i in range(a + 1):
-                key = exps[:j] + (a - 2 * i,) + exps[j + 1:]
-                expanded[key] = expanded.get(key, 0) + math.comb(a, i) * value
-        terms = expanded
-    return {exps: value for exps, value in terms.items() if value}
-
-
 def _first_census_mismatch(series_terms, census, y_basis: bool = False) -> str | None:
     """None when the two coefficients agree, else the first differing rank
     vector; y-basis coefficients are compared in y and reported in x."""
     if series_terms == census:
         return None
     if y_basis:
-        series_terms, census = _x_form(series_terms), _x_form(census)
+        series_terms, census = combinat._x_form(series_terms), combinat._x_form(census)
     for key in sorted(set(series_terms) | set(census)):
         a, b = series_terms.get(key, 0), census.get(key, 0)
         if a != b:

@@ -20,21 +20,21 @@ the unimodal listing lists each peak's rows once and sorts only its tops.
 No census or count builds a marked symbol: two walks up the part values,
 :func:`marked_durfee_censuses` and :func:`marked_unimodal_censuses`, count
 them by size and rank vector (an open Durfee mark only at the sizes that
-leave room for its forced parts; the Durfee walk also by exponent vector
-of y_j = x_j + 1/x_j, with signed values) and share no code with the
-listing, one knapsack over the peaks, :func:`marked_unimodal_counts`,
-counts the marked unimodal and symmetric symbols, and two integer tables
-grown per number of odd parts, :func:`even_part_parity_counts`, weigh each
-even part t = +1 or t = -1 to count the decorated odd-part configurations
-by parity.  Nothing is cached, and nothing is shared with
-:mod:`qranks.genfun`.
+leave room for its forced parts; the Durfee walk counts by exponent vector
+of y_j = x_j + 1/x_j, with signed values, and :func:`_x_form` rewrites
+that in x) and share no code with the listing, one knapsack over the
+peaks, :func:`marked_unimodal_counts`, counts the marked unimodal and
+symmetric symbols, and two integer tables grown per number of odd parts,
+:func:`even_part_parity_counts`, weigh each even part t = +1 or t = -1 to
+count the decorated odd-part configurations by parity.  Nothing is
+cached, and nothing is shared with :mod:`qranks.genfun`.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import Counter
-from math import isqrt
+from math import comb, isqrt
 from typing import Iterator
 
 from ._record import Record
@@ -370,28 +370,40 @@ def marked_durfee_censuses(n_max: int, k: int,
     square v^2, so its block walks only the sizes that leave room for them.
 
     Together those parts v multiply mark j's block by 1 / (1 - y_j q^v +
-    q^(2v)), y_j = x_j + 1/x_j; ``y_basis`` absorbs them so, in one pass,
-    and keys the censuses by exponent vectors of y, values signed.
+    q^(2v)), y_j = x_j + 1/x_j, which the walk absorbs in one pass, keying
+    its censuses by exponent vectors of y, values signed: so ``y_basis``
+    returns them, and otherwise each is rewritten in x by :func:`_x_form`.
     """
     censuses, blocks = _walk_start(n_max, k, least=k)
     for v in range(1, isqrt(n_max) + 1) if blocks else ():
         for j, block in enumerate(blocks, 1):
             room = n_max - v * v - (k - j) * v
-            if y_basis:  # s ascending: block[s] += y_j block[s - v] - block[s - 2v]
-                for s in range(v, room + 1):
-                    _moved(block[s], block[s - v], 1)
-                    for ranks, count in block[s - 2 * v].items() if s >= 2 * v else ():
-                        block[s][ranks] = block[s].get(ranks, 0) - count
-            else:
-                for step in (-1, 1):  # s ascending: v joins as often as it fits
-                    for s in range(v, room + 1):
-                        _moved(block[s], block[s - v], step)
+            # s ascending: block[s] += y_j block[s - v] - block[s - 2v]
+            for s in range(v, room + 1):
+                _moved(block[s], block[s - v], 1)
+                for ranks, count in block[s - 2 * v].items() if s >= 2 * v else ():
+                    block[s][ranks] = block[s].get(ranks, 0) - count
             if j < k:  # block j + 1 has v more room
                 for s in range(room + 1):
                     _moved(blocks[j][s + v], block[s], None)
         for s in range(n_max - v * v + 1):
             censuses[s + v * v].update(blocks[-1][s])
-    return [dict(sorted(item for item in census.items() if item[1])) for census in censuses]
+    return [dict(sorted(item for item in census.items() if item[1]))
+            for census in (censuses if y_basis else map(_x_form, censuses))]
+
+
+def _x_form(terms: dict) -> dict:
+    """A coefficient in y_j = x_j + 1/x_j rewritten in x, one variable at a
+    time, by y_j^a = sum_i C(a, i) x_j^(a - 2i); zero sums dropped."""
+    for j in range(len(next(iter(terms), ()))):
+        expanded: dict = {}
+        for exps, value in terms.items():
+            a = exps[j]
+            for i in range(a + 1):
+                key = exps[:j] + (a - 2 * i,) + exps[j + 1:]
+                expanded[key] = expanded.get(key, 0) + comb(a, i) * value
+        terms = expanded
+    return {exps: value for exps, value in terms.items() if value}
 
 
 def marked_unimodal_censuses(n_max: int, k: int) -> list[dict[RankVector, int]]:
@@ -469,9 +481,9 @@ def marked_unimodal_counts(n_max: int, k_max: int,
 
 def rank_census_marked_durfee(n: int, k: int) -> dict[RankVector, int]:
     """Map rank vector -> number of k-marked Durfee symbols of n, in ascending
-    key order: size n of the value walk :func:`marked_durfee_censuses`."""
+    key order: size n of the y walk :func:`marked_durfee_censuses`, rewritten in x."""
     _check_marked(n, k)
-    return marked_durfee_censuses(n, k)[n]
+    return dict(sorted(_x_form(marked_durfee_censuses(n, k, y_basis=True)[n]).items()))
 
 
 # ----------------------------------------------------------------------

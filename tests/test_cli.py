@@ -258,6 +258,58 @@ class TestEnumerateCommand:
         assert code == 2
 
 
+def _first_two_ranks_swapped(walk):
+    """``walk`` with r_1 and r_2 exchanged in every key from k = 2 on."""
+    def swapped(n_max, k, **basis):
+        censuses = walk(n_max, k, **basis)
+        if k < 2:
+            return censuses
+        return [{(r[1], r[0], *r[2:]): count for r, count in census.items()}
+                for census in censuses]
+    return swapped
+
+
+class TestRuntimePerturbations:
+    """Defects applied in process by wrapping a public walk or builder, so
+    they survive any rewrite of the code they wrap."""
+
+    def test_swapped_unimodal_ranks_are_reported(self, capsys, monkeypatch):
+        # U_k is not symmetric in x_1, x_2: the first cell a swap moves is named
+        monkeypatch.setattr(combinat, "marked_unimodal_censuses",
+                            _first_two_ranks_swapped(combinat.marked_unimodal_censuses))
+        code, out, _ = run(capsys, "verify", "--suite", "thm-1-2", "--k-max", "3",
+                           "--n-max", "12")
+        assert code == 1
+        assert next(line for line in out.splitlines() if line.startswith("FAIL")) == (
+            "FAIL suite=thm-1-2 k=2 n=4: ranks=(-1, 0): series 1 != census 0")
+        assert out.splitlines()[-1] == "summary: 36 cells, 22 passed, 14 failed"
+
+    def test_swapped_durfee_ranks_pass_as_r_k_is_symmetric(self, capsys, monkeypatch):
+        # the same swap on the y keys changes no coefficient of R_k
+        monkeypatch.setattr(combinat, "marked_durfee_censuses",
+                            _first_two_ranks_swapped(combinat.marked_durfee_censuses))
+        code, out, _ = run(capsys, "verify", "--suite", "thm-1-1")
+        assert code == 0
+        assert out.splitlines()[-1] == "summary: 36 cells, 36 passed, 0 failed"
+
+    def test_dropped_series_term_is_named_by_its_cell(self, capsys, monkeypatch):
+        build = genfun.marked_unimodal_rank_series
+
+        def dropped(k, n_max):
+            series = build(k, n_max)
+            if k == 2:
+                del series.coeffs[9].terms[(0, 0)]
+            return series
+
+        monkeypatch.setattr(genfun, "marked_unimodal_rank_series", dropped)
+        code, out, _ = run(capsys, "verify", "--suite", "thm-1-2", "--k-max", "3",
+                           "--n-max", "12")
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+            "FAIL suite=thm-1-2 k=2 n=9: ranks=(0, 0): series 0 != census 8"]
+        assert out.splitlines()[-1] == "summary: 36 cells, 35 passed, 1 failed"
+
+
 class TestVerifyCommand:
     def test_thm15_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "thm-1-5", "--k-max", "2",

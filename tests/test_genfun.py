@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 import series_oracle
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qranks import combinat, genfun
@@ -130,6 +130,17 @@ class TestSymmetricBasis:
         assert in_x({(1, 1): 1, (0, 0): -3}) == {
             (1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1, (0, 0): -3}
         assert in_x({(2,): 1, (0,): -2}) == {(2,): 1, (-2,): 1}
+
+    # signed y coefficients in up to 4 variables, zero values and cancelling
+    # terms included: y_1^2 - 2 has no x_1^0 term
+    @given(st.integers(1, 4).flatmap(lambda k: st.dictionaries(
+        st.tuples(*[st.integers(0, 6)] * k), st.integers(-3, 3), max_size=8)))
+    @example({(2,): 1, (0,): -2})
+    @example({(2, 1): 2, (0, 1): -4, (4, 0): 1, (2, 0): -4, (0, 0): 2})
+    @settings(max_examples=200, deadline=None)
+    def test_one_y_to_x_rewrite_equals_in_x(self, terms):
+        # the rewrite every x census is read through, and thm-1-1 reports in
+        assert combinat._x_form(terms) == in_x(terms)
 
 
 class TestUnimodalRankSeries:
