@@ -15,8 +15,10 @@ One parts enumerator, :func:`_parts`, lists every row and partition in one
 mode (parts between two bounds, weak or strict) by one walk over an
 explicit prefix; the marked listings of :mod:`qranks.marked` fill their
 pools with it too.  The plain bijections cost about their parts: the
-Durfee maps read each row as a conjugate, one square row at a time, and
-the unimodal listing lists each peak's rows once and sorts only its tops.
+Durfee maps read each row as a conjugate, one square row at a time, the
+rows that :func:`durfee_decompose` and :func:`su_symbol` slice from their
+checked argument skip ``Partition``'s checks, and the unimodal listing
+lists each peak's rows once and sorts only its tops.
 No census or count builds a marked symbol: two walks up the part values,
 :func:`marked_durfee_censuses` and :func:`marked_unimodal_censuses`, count
 them by size and rank vector (an open Durfee mark only at the sizes that
@@ -58,6 +60,15 @@ def _integers(values) -> tuple[int, ...]:
         raise
 
 
+def _integer(value) -> int:
+    """One side or peak read by :func:`operator.index`; what that refuses
+    goes through :func:`_integers`, so it raises the same error."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return _integers((value,))[0]
+
+
 # ----------------------------------------------------------------------
 # partitions
 # ----------------------------------------------------------------------
@@ -78,6 +89,15 @@ class Partition(Record):
                 raise ValueError(f"parts not weakly decreasing: {parts}")
             prev = p
         object.__setattr__(self, "parts", parts)
+
+    @classmethod
+    def _unchecked(cls, parts: tuple[int, ...]) -> Partition:
+        """The partition of ``parts`` without the checks of ``__init__``: only
+        for a slice of a checked record's parts that is weakly decreasing by
+        construction.  The three callers are in the two bijection maps."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "parts", parts)
+        return self
 
     @property
     def size(self) -> int:
@@ -151,7 +171,7 @@ class DurfeeSymbol(Record):
     __slots__ = ("top", "bottom", "side")
 
     def __init__(self, top: Partition, bottom: Partition, side: int):
-        side, = _integers((side,))
+        side = _integer(side)
         if side < 1:
             raise ValueError("side must be >= 1")
         if not type(top) is type(bottom) is Partition:
@@ -172,7 +192,12 @@ class DurfeeSymbol(Record):
 
 
 def durfee_decompose(p: Partition) -> DurfeeSymbol:
-    """Split a nonempty partition into its Durfee square side and symbol rows."""
+    """Split a nonempty partition into its Durfee square side and symbol rows.
+
+    ``p`` must be a ``Partition`` itself, so its bottom row, a suffix of its
+    checked parts, is built unchecked."""
+    if type(p) is not Partition:
+        raise ValueError(f"argument must be a Partition: {p!r}")
     if not p.parts:
         raise ValueError("no Durfee square in the empty partition")
     parts = p.parts
@@ -185,7 +210,7 @@ def durfee_decompose(p: Partition) -> DurfeeSymbol:
     top = []
     for i in range(side, 0, -1):
         top += [i] * (ends[i - 1] - ends[i])
-    return DurfeeSymbol(Partition(tuple(top)), Partition(parts[side:]), side)
+    return DurfeeSymbol(Partition(tuple(top)), Partition._unchecked(parts[side:]), side)
 
 
 def durfee_recompose(sym: DurfeeSymbol) -> Partition:
@@ -252,7 +277,7 @@ class SUSymbol(Record):
     __slots__ = ("top", "bottom", "peak")
 
     def __init__(self, top: Partition, bottom: Partition, peak: int):
-        peak, = _integers((peak,))
+        peak = _integer(peak)
         if peak < 1:
             raise ValueError("peak must be >= 1")
         if not type(top) is type(bottom) is Partition:
@@ -277,11 +302,17 @@ class SUSymbol(Record):
 
 
 def su_symbol(seq: SUSequence) -> SUSymbol:
-    """Record the parts after the peak (top row) and before it (bottom row)."""
+    """Record the parts after the peak (top row) and before it (bottom row).
+
+    ``seq`` must be an ``SUSequence`` itself, so both rows, its checked
+    strict runs on either side of the peak, are built unchecked."""
+    if type(seq) is not SUSequence:
+        raise ValueError(f"argument must be an SUSequence: {seq!r}")
     parts = seq.parts
     peak = max(parts)
     i = parts.index(peak)
-    return SUSymbol(Partition(parts[i + 1:]), Partition(parts[:i][::-1]), peak)
+    top, bottom = Partition._unchecked(parts[i + 1:]), Partition._unchecked(parts[:i][::-1])
+    return SUSymbol(top, bottom, peak)
 
 
 def su_sequence(sym: SUSymbol) -> SUSequence:

@@ -41,9 +41,16 @@ MUTANTS = [
      "thm-1-5", "the symmetric table adds the value 2p + 2"),
     ("combinat.py", "for i in range(1, side + 1):", "for i in range(1, side + 2):",
      "bijections", "recomposing appends one more row of length side"),
-    ("combinat.py", "return SUSymbol(Partition(parts[i + 1:]), Partition(parts[:i][::-1]), peak)",
-     "return SUSymbol(Partition(parts[:i][::-1]), Partition(parts[i + 1:]), peak)",
+    ("combinat.py", "return SUSymbol(top, bottom, peak)", "return SUSymbol(bottom, top, peak)",
      "bijections", "the unimodal symbol swaps its two rows"),
+    # the rows built unchecked: each defect still slices a valid row
+    ("combinat.py", "Partition._unchecked(parts[side:])", "Partition._unchecked(parts[side + 1:])",
+     "bijections", "the Durfee bottom row drops its first part"),
+    ("combinat.py", "Partition._unchecked(parts[i + 1:])", "Partition._unchecked(parts[i + 2:])",
+     "bijections", "the unimodal top row drops the part after the peak"),
+    ("combinat.py", "Partition._unchecked(parts[:i][::-1])",
+     "Partition._unchecked(parts[1:i][::-1])",
+     "bijections", "the unimodal bottom row drops the first part"),
     ("combinat.py", "return SUSymbol(row, row, heights[0])",
      "return SUSymbol(row, row, heights[0] + 1)",
      "bijections", "the odd parts' symbol has one more at its peak"),

@@ -74,16 +74,19 @@ class TestPartitions:
             Partition((2, 0))
 
 
-class _Three:
-    """Not an int, but operator.index reads it as 3."""
-
-    def __index__(self):
-        return 3
-
-
 class _BrokenIndex:
     def __index__(self):
         raise TypeError("broken __index__")
+
+
+class _Index:
+    """Not an int, but operator.index reads it as ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
 # the argument errors of this module that no other test reaches, with their
@@ -190,6 +193,13 @@ ERRORS = [
                  "defined for k >= 2 only", id="even_part_parity_counts-k-first"),
     pytest.param(lambda: odd_parts_to_self_conjugate(Partition()), ValueError,
                  "empty partition has no symbol", id="odd_parts_to_self_conjugate"),
+    # the two maps that slice rows from their argument take exactly its type
+    pytest.param(lambda: durfee_decompose(SUSequence((1, 2))), ValueError,
+                 "argument must be a Partition: SUSequence(parts=(1, 2))",
+                 id="durfee_decompose-not-a-partition"),
+    pytest.param(lambda: su_symbol(Partition((3, 1))), ValueError,
+                 "argument must be an SUSequence: Partition(parts=(3, 1))",
+                 id="su_symbol-not-a-sequence"),
     # inputs that break two rules at once: the rule reported first
     pytest.param(lambda: Partition((3, 5, 0)), ValueError,
                  "parts not weakly decreasing: (3, 5, 0)", id="Partition-order-before-sign"),
@@ -263,9 +273,25 @@ def test_argument_error(call, error, message):
         call()
 
 
+@given(st.one_of(st.integers(), st.booleans(), st.integers().map(_Index),
+                 st.text(max_size=4), st.floats(), st.none(), st.just(_BrokenIndex())))
+@settings(max_examples=200, deadline=None)
+def test_one_integer_reads_as_a_tuple_of_one(value):
+    """The reader of a side or peak gives the int that the parts reader
+    gives, or raises its error type with its text."""
+    if isinstance(value, (str, float, type(None), _BrokenIndex)):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            combinat._integers((value,))
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            combinat._integer(value)
+    else:
+        read = combinat._integer(value)
+        assert type(read) is int and read == combinat._integers((value,))[0]
+
+
 def test_index_types_stored_as_int():
-    assert Partition((_Three(), True)).parts == (3, 1)
-    sym = KMarkedSUSymbol(((True, True),), (), _Three(), True)
+    assert Partition((_Index(3), True)).parts == (3, 1)
+    sym = KMarkedSUSymbol(((True, True),), (), _Index(3), True)
     assert sym.size == 4 and sym.k == 1
     assert type(sym.peak) is int and type(sym.top[0].value) is int
 
@@ -424,6 +450,58 @@ class TestUnimodalSymbols:
     def test_row_below_peak_enforced(self):
         with pytest.raises(ValueError):
             SUSymbol(Partition((3,)), Partition(()), 3)
+
+
+class TestUncheckedRows:
+    """The bottom Durfee row and both unimodal rows are sliced from a checked
+    argument and built by ``Partition._unchecked``; the symbols still check
+    every row against the side or the peak."""
+
+    @staticmethod
+    def assert_as_checked(row):
+        checked = Partition(row.parts)
+        assert type(row) is Partition and type(row.parts) is tuple
+        assert row == checked and hash(row) == hash(checked) and repr(row) == repr(checked)
+
+    def test_durfee_rows_equal_checked_rows_to_20(self):
+        for n in range(1, 21):
+            for p in enumerate_partitions(n):
+                sym = durfee_decompose(p)
+                self.assert_as_checked(sym.top)
+                self.assert_as_checked(sym.bottom)
+
+    def test_unimodal_rows_equal_checked_rows_to_16(self):
+        for n in range(1, 17):
+            for seq in enumerate_su_sequences(n):
+                sym = su_symbol(seq)
+                self.assert_as_checked(sym.top)
+                self.assert_as_checked(sym.bottom)
+
+    def test_subclass_arguments_refused(self):
+        class Sub(Partition):
+            __slots__ = ()
+
+        class SubSequence(SUSequence):
+            __slots__ = ()
+
+        for call, arg, kind in ((durfee_decompose, Sub((2, 1)), "a Partition"),
+                                (su_symbol, SubSequence((1, 2)), "an SUSequence")):
+            message = f"argument must be {kind}: {arg!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(arg)
+
+    @pytest.mark.parametrize("top, bottom, message", [
+        ((1, 2), (), "row not strictly decreasing: (1, 2)"),
+        ((), (2, 2), "row not strictly decreasing: (2, 2)"),
+        ((3, 1), (), "row part 3 not below peak 3"),
+    ])
+    def test_unimodal_symbol_refuses_an_unchecked_row(self, top, bottom, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SUSymbol(Partition._unchecked(top), Partition._unchecked(bottom), 3)
+
+    def test_durfee_symbol_refuses_an_unchecked_row_beyond_the_side(self):
+        with pytest.raises(ValueError, match="^part 3 exceeds side 2$"):
+            combinat.DurfeeSymbol(Partition(), Partition._unchecked((3, 1)), 2)
 
 
 class TestMarkedDurfee:

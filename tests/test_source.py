@@ -135,6 +135,29 @@ def test_one_records_writer():
     assert users("_write_records") == {"cmd_series", "cmd_enumerate"}
 
 
+def test_unchecked_rows_only_where_a_checked_argument_is_sliced():
+    """`Partition._unchecked` skips the checks of `Partition.__init__`, so it
+    is called at three sites in all of `src/` and nowhere else: on the
+    bottom row that `durfee_decompose` slices from its `Partition`, and on
+    the two rows that `su_symbol` slices from its `SUSequence`."""
+    refs, calls = 0, []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        refs += sum(isinstance(node, ast.Attribute) and node.attr == "_unchecked"
+                    or isinstance(node, ast.Name) and node.id == "_unchecked"
+                    or isinstance(node, ast.Constant) and node.value == "_unchecked"
+                    for node in ast.walk(tree))
+        calls += [(path.name, func.name, ast.unparse(node))
+                  for func in tree.body if isinstance(func, ast.FunctionDef)
+                  for node in ast.walk(func) if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) == "Partition._unchecked"]
+    assert refs == 3 and sorted(calls) == [
+        ("combinat.py", "durfee_decompose", "Partition._unchecked(parts[side:])"),
+        ("combinat.py", "su_symbol", "Partition._unchecked(parts[:i][::-1])"),
+        ("combinat.py", "su_symbol", "Partition._unchecked(parts[i + 1:])"),
+    ], (refs, calls)
+
+
 def test_nested_sum_steps_name_no_series():
     """The Horner steps that `genfun._nested_sum` calls work on accumulators
     in place and read no accumulator layout: no step body names
