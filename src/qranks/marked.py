@@ -1,8 +1,9 @@
 """The k-marked Durfee and strongly unimodal symbols, their rank vectors and
 their listings: one validator, :func:`_marked_violation`, for both families,
-and one pool filler, :func:`_marked_rows`, fed by :func:`_chains`, a walk
-that enters only branches that fit.  :mod:`qranks.combinat` counts these
-symbols without building any, and loads this module on first use.
+and one pool filler, :func:`_marked_rows`, which takes each profile chain and
+every pool of free parts from :func:`qranks.combinat._parts`.
+:mod:`qranks.combinat` counts these symbols without building any, and loads
+this module on first use.
 """
 
 from __future__ import annotations
@@ -169,20 +170,6 @@ def durfee_ranks(sym: _MarkedSymbol) -> RankVector:
 unimodal_ranks = durfee_ranks
 
 
-def _chains(count: int, below: int, room: int, strict: bool):
-    """Ascending (with ``strict``, strictly) tuples of ``count`` values in
-    [1, below] summing to at most ``room``; a value is tried only if the
-    smaller ones still fit under it, so every branch ends in a tuple."""
-    if count == 0:
-        yield ()
-        return
-    rest = count - 1
-    least = rest * (rest + 1) // 2 if strict else rest  # the rest's least sum
-    for top in range(count if strict else 1, min(below, room - least) + 1):
-        for chain in _chains(rest, top - strict, room - top, strict):
-            yield chain + (top,)
-
-
 def _marked_rows(n: int, k: int, strict: bool):
     """Yield (top, bottom, M_k) for every k-marked symbol of size n, rows of
     (value, mark) pairs that the caller's frozen class validates; the only
@@ -195,35 +182,39 @@ def _marked_rows(n: int, k: int, strict: bool):
     [M_(j-1), M_j] (M_0 = 1).  Unimodal ones (``strict``) have M_1 < ... <
     M_k = peak and draw top mark j from [M_(j-1)+1, M_j-1], bottom mark j
     from [M_(j-1)+1, M_j] or, for j = k, [M_(k-1)+1, peak-1] (M_0 = 0).
-    The chain M_1..M_(k-1) is an ascending tuple from :func:`_chains`
-    that fits in the room the side or peak leaves.
+    The chain M_1..M_(k-1) is, read ascending, a partition from :func:`_parts`
+    into k - 1 parts below the side or peak that fits in the room it leaves.
     """
     marks = range(1, k + 1)
+    least = (k - 1) * (k if strict else 2) // 2  # M_j = j, or all 1
     for last in range(1, (n if strict else isqrt(n)) + 1):
         room = n - (last if strict else last * last)
-        for below in _chains(k - 1, last - strict, room, strict):
-            budget = room - sum(below)
-            profile = below + (last,)
-            lows = (1,) + tuple(m + strict for m in below)
-            pools = [(j, lo, hi - strict) for j, lo, hi in zip(marks, lows, profile)]
-            pools += [(j, lo, hi - (strict and j == k))
-                      for j, lo, hi in zip(marks, lows, profile)]
-            forced = tuple(zip(below, range(1, k)))
-            # list every pool but the last once, pruned to the budget; the
-            # last pool takes exactly what is left
-            *head, (mark, lo, hi) = pools
-            partial = [((), budget)]
-            for j, lo_j, hi_j in head:
-                listed = [(s, tuple((v, j) for v in values))
-                          for s in range(budget + 1)
-                          for values in _parts(s, hi_j, lo_j, strict)]
-                partial = [(chosen + (piece,), left - s)
-                           for chosen, left in partial
-                           for s, piece in listed if s <= left]
-            for chosen, left in partial:
-                for values in _parts(left, hi, lo, strict):
-                    filled = chosen + (tuple((v, mark) for v in values),)
-                    yield forced + sum(filled[:k], ()), sum(filled[k:], ()), last
+        for used in range(least, min(room, (k - 1) * (last - strict)) + 1):
+            for chain in _parts(used, last - strict, 1, strict):
+                if len(chain) != k - 1:
+                    continue
+                below, budget = chain[::-1], room - used
+                profile = below + (last,)
+                lows = (1,) + tuple(m + strict for m in below)
+                pools = [(j, lo, hi - strict) for j, lo, hi in zip(marks, lows, profile)]
+                pools += [(j, lo, hi - (strict and j == k))
+                          for j, lo, hi in zip(marks, lows, profile)]
+                forced = tuple(zip(below, range(1, k)))
+                # list every pool but the last once, pruned to the budget; the
+                # last pool takes exactly what is left
+                *head, (mark, lo, hi) = pools
+                partial = [((), budget)]
+                for j, lo_j, hi_j in head:
+                    listed = [(s, tuple((v, j) for v in values))
+                              for s in range(budget + 1)
+                              for values in _parts(s, hi_j, lo_j, strict)]
+                    partial = [(chosen + (piece,), left - s)
+                               for chosen, left in partial
+                               for s, piece in listed if s <= left]
+                for chosen, left in partial:
+                    for values in _parts(left, hi, lo, strict):
+                        filled = chosen + (tuple((v, mark) for v in values),)
+                        yield forced + sum(filled[:k], ()), sum(filled[k:], ()), last
 
 
 def enumerate_marked_durfee(n: int, k: int) -> list[KMarkedDurfeeSymbol]:

@@ -629,18 +629,13 @@ def test_verify_and_specialize_golden(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_ci_goldens_are_golden_outputs():
-    # the workflow checks the installed script against digests of its own;
-    # each (argv, digest) pair there must be a row of GOLDEN_OUTPUT
+def test_ci_reads_its_digests_from_golden_outputs():
+    # the workflow runs the installed script on every GOLDEN_OUTPUT row and
+    # holds no digest of its own that could fall out of step with them
     workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows"
                 / "tests.yml").read_text()
-    commands = dict((file, argv) for argv, file in re.findall(
-        r'^\s*qranks (.+?) > "\$RUNNER_TEMP/(\S+)"$', workflow, re.M))
-    digests = dict((file, digest) for digest, file in re.findall(
-        r'^\s*echo "([0-9a-f]{64})  \$RUNNER_TEMP/(\S+)"', workflow, re.M))
-    assert commands and commands.keys() == digests.keys()
-    pairs = {(argv, digests[file]) for file, argv in commands.items()}
-    assert pairs - set(GOLDEN_OUTPUT) == set()
+    assert "GOLDEN_OUTPUT" in workflow
+    assert re.findall(r"[0-9a-f]{64}", workflow) == []
 
 
 def _csv_field_per_record(value) -> str:

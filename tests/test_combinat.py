@@ -18,7 +18,7 @@ from marking_oracle import (
     unimodal_by_filter,
 )
 
-from qranks import combinat, marked
+from qranks import combinat
 from qranks.combinat import (
     KMarkedDurfeeSymbol,
     KMarkedSUSymbol,
@@ -562,9 +562,10 @@ class TestMarkedDurfee:
                 assert sym.size == n
 
     def test_matches_marking_oracle(self):
-        # k = 4 walks chains of three largest marked parts
+        # k = 4 and 5 walk chains of three and four largest marked parts,
+        # which _parts lists among partitions of every length
         cells = [(n, k) for n in range(1, 15) for k in (1, 2, 3)]
-        for n, k in cells + [(n, 4) for n in range(1, 11)]:
+        for n, k in cells + [(n, 4) for n in range(1, 11)] + [(n, 5) for n in range(1, 10)]:
             constructed = enumerate_marked_durfee(n, k)
             assert constructed == durfee_by_filter(n, k), (n, k)
             assert len(set(constructed)) == len(constructed)  # duplicate-free
@@ -630,9 +631,11 @@ class TestMarkedUnimodal:
             KMarkedSUSymbol((), ((1, 2),), peak=2, k=1)
 
     def test_filter_and_constructive_agree(self):
-        # k = 4 walks chains of three largest marked parts
+        # k = 4 and 5 walk chains of three and four largest marked parts,
+        # which _parts lists among partitions of every length; k = 5 has
+        # its first symbol at n = 15
         cells = [(n, k) for n in range(1, 15) for k in (1, 2, 3)]
-        for n, k in cells + [(n, 4) for n in range(1, 16)]:
+        for n, k in cells + [(n, 4) for n in range(1, 16)] + [(n, 5) for n in range(1, 19)]:
             constructed = enumerate_marked_unimodal(n, k)
             assert constructed == unimodal_by_filter(n, k), (n, k)
             assert len(set(constructed)) == len(constructed)  # duplicate-free
@@ -1002,15 +1005,3 @@ class TestParts:
                                     if values <= allowed and (distinct or not strict)]
                         got = list(combinat._parts(n, largest, smallest, strict))
                         assert got == expected, (n, largest, smallest, strict)
-
-    def test_chains_match_filtered_combinations(self):
-        for strict in (False, True):
-            pick = itertools.combinations if strict else itertools.combinations_with_replacement
-            for count in range(6):
-                for below in range(9):
-                    chains = list(pick(range(1, below + 1), count))
-                    for room in range(31):
-                        expected = sorted(c for c in chains if sum(c) <= room)
-                        got = list(marked._chains(count, below, room, strict))
-                        assert sorted(got) == expected, (count, below, room, strict)
-                        assert len(set(got)) == len(got)

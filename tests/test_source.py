@@ -202,6 +202,22 @@ def test_genfun_leaves_the_accumulator_layout_to_series():
     assert not found, sorted(found)
 
 
+def test_marked_lists_through_one_generator():
+    """`marked` defines one generator function, `_marked_rows`, so the
+    chains of largest marked parts and the pools of free parts it fills
+    are all tuples of part values listed by `combinat._parts`."""
+    path = next(p for p in SOURCES if p.name == "marked.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    generators = sorted(func.name for func in ast.walk(tree)
+                        if isinstance(func, ast.FunctionDef)
+                        and any(isinstance(node, (ast.Yield, ast.YieldFrom))
+                                for node in ast.walk(func)))
+    rows = next(func for func in tree.body
+                if isinstance(func, ast.FunctionDef) and func.name == "_marked_rows")
+    called = {ast.unparse(node.func) for node in ast.walk(rows) if isinstance(node, ast.Call)}
+    assert generators == ["_marked_rows"] and "_parts" in called, generators
+
+
 def _imports(path):
     """Every module name that ``path`` imports, by any form of import."""
     names = set()
